@@ -180,8 +180,9 @@ def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: in
                      batch_size: int = 512) -> PredictionTrack:
     """Stride-1 window predictions placed at their label-position timestamp.
 
-    Windows never cross gap boundaries; rows no window maps to carry the
-    explicit no-prediction marker.
+    Windows never cross gap boundaries, and a window holding any missing or
+    non-finite cell is not predicted; rows no predicted window maps to carry
+    the explicit no-prediction marker.
     """
     sel = frame.select_channels(scaler.channel_names)
     scaled = transform(scaler, sel)
@@ -202,13 +203,16 @@ def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: in
                       "empty track")
         return PredictionTrack(frame.timestamps, tuple(names), probs, decisions, threshold)
     offset = label_offset(length, position)
+    # bad[i] counts non-finite rows before row i, so a window's count is a difference
+    bad = np.concatenate([[0], np.cumsum(~np.isfinite(scaled.values).all(axis=0))])
     for seg in split_on_gaps(scaled, max_gap_s):
-        starts = slide(seg, length, stride=1)
-        if not starts:
+        starts = np.asarray(slide(seg, length, stride=1), dtype=np.int64)
+        starts = starts[bad[starts + length] == bad[starts]]
+        if not starts.size:
             continue
         X = np.stack([scaled.values[:, s:s + length] for s in starts])
         p = predict_probabilities(model, X, batch_size)
-        anchor = np.asarray(starts) + offset
+        anchor = starts + offset
         probs[:, anchor] = p.T
         decisions[:, anchor] = (p.T >= threshold).astype(np.int8)
     return PredictionTrack(frame.timestamps, tuple(names), probs, decisions, threshold)

@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..nn import Dense, Lstm, ParamStore
 from ..nn.checkpoint import Checkpoint
-from ..nn.layers import Relu, sigmoid, softmax_over_classes
+from ..nn.layers import Relu, head_probabilities
 from ..rng import Rng
 from .config import AutoencoderConfig, HeadConfig
 
@@ -140,10 +140,7 @@ class EncoderClassifier:
         return self.fc1.backward(self.act.backward(self.fc2.backward(dlogits)))
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        logits = self.forward(x, train=False)
-        if self.head_config.head_mode == "single_label":
-            return softmax_over_classes(logits)
-        return sigmoid(logits)
+        return head_probabilities(self.forward(x, train=False), self.head_config.head_mode)
 
     def feature_space(self, x: np.ndarray) -> np.ndarray:
         self.forward(x, train=False)

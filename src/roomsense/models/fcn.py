@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import BatchNorm1d, Conv1d, Dense, GlobalAvgPool, ParamStore, Relu
-from ..nn.layers import sigmoid, softmax_over_classes
+from ..nn.layers import head_probabilities
 from ..rng import Rng
 from .config import FcnConfig
 
@@ -56,10 +56,7 @@ class FcnClassifier:
         return dx
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        logits = self.forward(x, train=False)
-        if self.config.head_mode == "single_label":
-            return softmax_over_classes(logits)
-        return sigmoid(logits)
+        return head_probabilities(self.forward(x, train=False), self.config.head_mode)
 
     def feature_space(self, x: np.ndarray) -> np.ndarray:
         """GAP output in eval mode (the input to the linear head)."""

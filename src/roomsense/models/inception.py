@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..nn import BatchNorm1d, Conv1d, Dense, GlobalAvgPool, MaxPool1dSame, ParamStore, Relu
-from ..nn.layers import sigmoid, softmax_over_classes
+from ..nn.layers import head_probabilities
 from ..rng import Rng, derive_seed
 from .config import InceptionConfig
 
@@ -115,10 +115,7 @@ class InceptionNetwork:
         return dx
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        logits = self.forward(x, train=False)
-        if self.config.head_mode == "single_label":
-            return softmax_over_classes(logits)
-        return sigmoid(logits)
+        return head_probabilities(self.forward(x, train=False), self.config.head_mode)
 
     def feature_space(self, x: np.ndarray) -> np.ndarray:
         self.forward(x, train=False)

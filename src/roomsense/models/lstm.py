@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Dense, Dropout, Lstm, ParamStore
-from ..nn.layers import sigmoid, softmax_over_classes
+from ..nn.layers import head_probabilities
 from ..rng import Rng
 from .config import LstmConfig
 
@@ -40,10 +40,7 @@ class LstmClassifier:
         return self.lstm.backward(dh)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        logits = self.forward(x, train=False)
-        if self.config.head_mode == "single_label":
-            return softmax_over_classes(logits)
-        return sigmoid(logits)
+        return head_probabilities(self.forward(x, train=False), self.config.head_mode)
 
     def feature_space(self, x: np.ndarray) -> np.ndarray:
         """Last hidden state (concatenated over directions), eval mode."""

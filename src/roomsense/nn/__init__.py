@@ -18,6 +18,7 @@ from .layers import (
     Relu,
     Sigmoid,
     SoftmaxClasses,
+    head_probabilities,
     relu,
     sigmoid,
     softmax_over_classes,
@@ -34,7 +35,7 @@ __all__ = [
     "AdamState", "Param", "ParamStore", "adam_step", "cosine_lr",
     "BatchNorm1d", "Conv1d", "Dense", "Dropout", "GlobalAvgPool", "Lstm",
     "MaxPool1dSame", "Relu", "Sigmoid", "SoftmaxClasses",
-    "relu", "sigmoid", "softmax_over_classes",
+    "head_probabilities", "relu", "sigmoid", "softmax_over_classes",
     "bce_with_logits", "mse", "softmax_cross_entropy",
     "Checkpoint", "architecture_fingerprint", "load_checkpoint", "save_checkpoint",
 ]

@@ -1,9 +1,10 @@
 """Checkpoint format: JSON manifest + little-endian float64 buffer blob.
 
 ``save_checkpoint(path, ...)`` writes ``<path>.json`` (architecture config,
-its fingerprint, buffer names/shapes/flags, seed, step) and ``<path>.bin``
-(the named buffers concatenated in manifest order as little-endian float64).
-The round trip is bit-exact.
+its fingerprint, buffer names/shapes/flags, the blob's SHA-256, seed, step)
+and ``<path>.bin`` (the named buffers concatenated in manifest order as
+little-endian float64). The round trip is bit-exact; ``load_checkpoint``
+checks the blob's length and hash before reading any buffer.
 """
 
 from __future__ import annotations
@@ -43,34 +44,38 @@ def save_checkpoint(path: str | Path, arch: dict, store: ParamStore,
         entries.append({"name": p.name, "shape": list(p.value.shape),
                         "trainable": p.trainable})
         chunks.append(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+    blob = b"".join(chunks)
     manifest = {
         "architecture": arch,
         "fingerprint": architecture_fingerprint(arch),
         "buffers": entries,
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "seed": seed,
         "step": step,
     }
     path.with_suffix(".json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    path.with_suffix(".bin").write_bytes(b"".join(chunks))
+    path.with_suffix(".bin").write_bytes(blob)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     manifest = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
     blob = path.with_suffix(".bin").read_bytes()
+    sizes = [int(np.prod(entry["shape"])) for entry in manifest["buffers"]]
+    if len(blob) != 8 * sum(sizes):
+        raise IntegrityError(
+            f"checkpoint blob has {len(blob)} bytes, manifest expects {8 * sum(sizes)}")
+    if hashlib.sha256(blob).hexdigest() != manifest.get("blob_sha256"):
+        raise IntegrityError("checkpoint blob does not match the manifest's blob_sha256")
     data = np.frombuffer(blob, dtype="<f8")
     buffers: dict[str, np.ndarray] = {}
     trainable: dict[str, bool] = {}
     offset = 0
-    for entry in manifest["buffers"]:
-        size = int(np.prod(entry["shape"])) if entry["shape"] else 1
+    for entry, size in zip(manifest["buffers"], sizes):
         buffers[entry["name"]] = data[offset:offset + size].reshape(entry["shape"]).copy()
         trainable[entry["name"]] = bool(entry["trainable"])
         offset += size
-    if offset != data.size:
-        raise IntegrityError(
-            f"checkpoint blob has {data.size} values, manifest expects {offset}")
     return Checkpoint(
         arch=manifest["architecture"],
         buffers=buffers,

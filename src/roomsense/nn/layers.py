@@ -21,13 +21,11 @@ from .params import ParamStore
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function in tanh form, 0.5 * (1 + tanh(x / 2)).
+
+    Exactly 0.5 at 0, saturates to 0/1 without overflow, and NaN stays NaN.
+    """
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -39,6 +37,13 @@ def softmax_over_classes(x: np.ndarray) -> np.ndarray:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def head_probabilities(logits: np.ndarray, head_mode: str) -> np.ndarray:
+    """Class probabilities from head logits: softmax for 'single_label', else sigmoid."""
+    if head_mode == "single_label":
+        return softmax_over_classes(logits)
+    return sigmoid(logits)
 
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:
@@ -274,7 +279,12 @@ class MaxPool1dSame:
 
 
 class _LstmDirection:
-    """One direction of an LSTM layer: parameters plus BPTT caches."""
+    """One direction of an LSTM layer: parameters plus BPTT caches.
+
+    The input-to-hidden product of every step is one GEMM before the time
+    loop, and the weight gradients and input gradient are single GEMMs after
+    the backward loop; only the hidden-to-hidden products stay per step.
+    """
 
     def __init__(self, store: ParamStore, name: str, in_channels: int, hidden: int,
                  rng: Rng):
@@ -287,69 +297,75 @@ class _LstmDirection:
         bias[hidden:2 * hidden] = 1.0  # forget-gate bias opens the memory path
         self.b = store.add(f"{name}.b", bias)
         self.hidden = hidden
+        # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5 on the i, f, o rows and tanh(z)
+        # on g, so one tanh call covers all four gates. Halving the weight rows
+        # instead of the pre-activation is exact (a power-of-two scale).
+        self._gate_scale = np.full(4 * hidden, 0.5)
+        self._gate_scale[2 * hidden:3 * hidden] = 1.0
+        self._gate_shift = np.where(self._gate_scale == 0.5, 0.5, 0.0)
         self._cache = None
 
     def forward(self, xs: np.ndarray) -> np.ndarray:
         """xs is (L, N, C) in consumption order; returns hidden states (L, N, H)."""
-        length, n, _ = xs.shape
+        length, n, c = xs.shape
         h = self.hidden
-        w_ih, w_hh, b = self.w_ih.value, self.w_hh.value, self.b.value
-        gates_i = np.empty((length, n, h))
-        gates_f = np.empty((length, n, h))
-        gates_g = np.empty((length, n, h))
-        gates_o = np.empty((length, n, h))
+        scale, shift = self._gate_scale, self._gate_shift
+        x2 = xs.reshape(length * n, c)
+        # the (L, N, 4H) projection becomes the gate cache, activated in place
+        gates = (x2 @ (self.w_ih.value * scale[:, None]).T).reshape(length, n, 4 * h)
+        gates += self.b.value * scale
+        w_hh_t = (self.w_hh.value * scale[:, None]).T
         cells = np.empty((length, n, h))
         tanh_c = np.empty((length, n, h))
         hs = np.empty((length, n, h))
-        h_prev = np.zeros((n, h))
-        c_prev = np.zeros((n, h))
+        recur = np.empty((n, 4 * h))
         for t in range(length):
-            z = xs[t] @ w_ih.T + h_prev @ w_hh.T + b
-            i_t = sigmoid(z[:, :h])
-            f_t = sigmoid(z[:, h:2 * h])
-            g_t = np.tanh(z[:, 2 * h:3 * h])
-            o_t = sigmoid(z[:, 3 * h:])
-            c_t = f_t * c_prev + i_t * g_t
-            tc = np.tanh(c_t)
-            h_t = o_t * tc
-            gates_i[t], gates_f[t], gates_g[t], gates_o[t] = i_t, f_t, g_t, o_t
-            cells[t], tanh_c[t], hs[t] = c_t, tc, h_t
-            h_prev, c_prev = h_t, c_t
-        self._cache = (xs, gates_i, gates_f, gates_g, gates_o, cells, tanh_c, hs)
+            z = gates[t]
+            if t:
+                z += np.matmul(hs[t - 1], w_hh_t, out=recur)
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            np.multiply(z[:, :h], z[:, 2 * h:3 * h], out=cells[t])
+            if t:
+                cells[t] += z[:, h:2 * h] * cells[t - 1]
+            np.tanh(cells[t], out=tanh_c[t])
+            np.multiply(z[:, 3 * h:], tanh_c[t], out=hs[t])
+        self._cache = (x2, gates, cells, tanh_c, hs)
         return hs
 
     def backward(self, dh_seq: np.ndarray) -> np.ndarray:
         """dh_seq is (L, N, H) in consumption order; returns dxs (L, N, C)."""
-        xs, gi, gf, gg, go, cells, tanh_c, hs = self._cache
-        length, n, _ = xs.shape
-        h = self.hidden
-        w_ih, w_hh = self.w_ih.value, self.w_hh.value
-        dw_ih = np.zeros_like(w_ih)
-        dw_hh = np.zeros_like(w_hh)
-        db = np.zeros_like(self.b.value)
-        dxs = np.empty_like(xs)
-        dh_next = np.zeros((n, h))
-        dc_next = np.zeros((n, h))
-        dz = np.empty((n, 4 * h))
+        x2, gates, cells, tanh_c, hs = self._cache
+        length, n, h = hs.shape
+        w_hh = self.w_hh.value
+        # gate-major copy: each gate of each step is one contiguous (N, H) block
+        gi, gf, gg, go = np.ascontiguousarray(
+            gates.reshape(length, n, 4, h).transpose(2, 0, 1, 3))
+        dzs = np.empty_like(gates)
         for t in range(length - 1, -1, -1):
-            dh = dh_seq[t] + dh_next
-            dc = dc_next + dh * go[t] * (1.0 - tanh_c[t] ** 2)
-            c_prev = cells[t - 1] if t > 0 else np.zeros((n, h))
-            h_prev = hs[t - 1] if t > 0 else np.zeros((n, h))
-            dz[:, :h] = dc * gg[t] * gi[t] * (1.0 - gi[t])
-            dz[:, h:2 * h] = dc * c_prev * gf[t] * (1.0 - gf[t])
-            dz[:, 2 * h:3 * h] = dc * gi[t] * (1.0 - gg[t] ** 2)
-            dz[:, 3 * h:] = dh * tanh_c[t] * go[t] * (1.0 - go[t])
-            dw_ih += dz.T @ xs[t]
-            dw_hh += dz.T @ h_prev
-            db += dz.sum(axis=0)
-            dxs[t] = dz @ w_ih
-            dh_next = dz @ w_hh
-            dc_next = dc * gf[t]
-        self.w_ih.grad += dw_ih
-        self.w_hh.grad += dw_hh
-        self.b.grad += db
-        return dxs
+            i_t, f_t, g_t, o_t = gi[t], gf[t], gg[t], go[t]
+            tc = tanh_c[t]
+            last = t == length - 1
+            dh = dh_seq[t] if last else dh_seq[t] + dzs[t + 1] @ w_hh
+            dc = dh * o_t * (1.0 - tc ** 2)
+            if not last:
+                dc += dc_next
+            dz = dzs[t]
+            dz[:, :h] = dc * g_t * i_t * (1.0 - i_t)
+            if t:
+                dz[:, h:2 * h] = dc * cells[t - 1] * f_t * (1.0 - f_t)
+            else:
+                dz[:, h:2 * h] = 0.0  # c_{-1} = 0
+            dz[:, 2 * h:3 * h] = dc * i_t * (1.0 - g_t ** 2)
+            dz[:, 3 * h:] = dh * tc * o_t * (1.0 - o_t)
+            dc_next = dc * f_t
+        dz2 = dzs.reshape(length * n, 4 * h)
+        self.w_ih.grad += dz2.T @ x2
+        if length > 1:
+            self.w_hh.grad += dzs[1:].reshape(-1, 4 * h).T @ hs[:-1].reshape(-1, h)
+        self.b.grad += dz2.sum(axis=0)
+        return (dz2 @ self.w_ih.value).reshape(length, n, -1)
 
 
 class Lstm:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError, SchemaError, SplitError
+from .errors import ConfigError, DegenerateDataError, IntegrityError, SchemaError, SplitError
 from .frames import SensorFrame
 from .rng import Rng
 
@@ -116,10 +116,14 @@ class WindowSet:
         path = Path(path)
         header = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
         blob = path.with_suffix(".bin").read_bytes()
-        data = np.frombuffer(blob, dtype="<f8")
         xs = int(np.prod(header["x_shape"]))
         ys = int(np.prod(header["y_shape"]))
         n = header["x_shape"][0]
+        expected = 8 * (xs + ys + n * (2 if header["has_start_indices"] else 1))
+        if len(blob) != expected:
+            raise IntegrityError(
+                f"window-set blob has {len(blob)} bytes, header expects {expected}")
+        data = np.frombuffer(blob, dtype="<f8")
         X = data[:xs].reshape(header["x_shape"])
         Y = data[xs:xs + ys].reshape(header["y_shape"])
         ts = data[xs + ys:xs + ys + n].astype(np.int64)

@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
-from .nn import AdamState, adam_step, bce_with_logits, cosine_lr, mse, softmax_cross_entropy
+from .nn import (
+    AdamState,
+    adam_step,
+    bce_with_logits,
+    cosine_lr,
+    head_probabilities,
+    mse,
+    softmax_cross_entropy,
+)
 from .pipeline import WindowSet
 from .rng import Rng, derive_seed
 
@@ -85,13 +93,16 @@ class History:
         return "\n".join(lines) + "\n"
 
 
+def _head_mode(model) -> str:
+    return getattr(model.config, "head_mode", "multi_label")
+
+
 def loss_for(model):
     """Training loss implied by the model's head mode (MSE for autoencoders)."""
     kind = getattr(model, "kind", "")
     if kind == "autoencoder":
         return mse
-    mode = getattr(model.config, "head_mode", "multi_label")
-    return softmax_cross_entropy if mode == "single_label" else bce_with_logits
+    return softmax_cross_entropy if _head_mode(model) == "single_label" else bce_with_logits
 
 
 def _batches(n: int, batch_size: int, perm: np.ndarray):
@@ -112,8 +123,8 @@ def _validation_pass(model, ws: WindowSet, loss_fn, batch_size: int,
         loss, _ = loss_fn(out, target)
         total_loss += loss * len(idx)
         if not reconstruction:
-            probs = model.predict_proba(xb)
-            correct += int(((probs >= 0.5) == (ws.Y[idx] >= 0.5)).sum())
+            probs = head_probabilities(out, _head_mode(model))
+            correct += int(((probs >= 0.5) == (target >= 0.5)).sum())
     mean_loss = total_loss / n
     if reconstruction:
         return mean_loss, None

@@ -125,6 +125,28 @@ class TestValidation:
                     "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_damaged_checkpoint_exit_2(self, chain, tmp_path):
+        for rel in ("model.json", "model.bin"):
+            (tmp_path / rel).write_bytes((chain / "train" / rel).read_bytes())
+        blob = tmp_path / "model.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        code = run(["eval", "--set", f"checkpoint={tmp_path}/model",
+                    "--set", f"scaler={chain}/train/scaler.json",
+                    "--set", f"windows={chain}/split/test",
+                    "--out", str(tmp_path / "o")])
+        assert code == 2
+
+    def test_short_window_set_exit_2(self, chain, tmp_path):
+        for rel in ("test.json", "test.bin"):
+            (tmp_path / rel).write_bytes((chain / "split" / rel).read_bytes())
+        blob = tmp_path / "test.bin"
+        blob.write_bytes(blob.read_bytes()[:-3])
+        code = run(["eval", "--set", f"checkpoint={chain}/train/model",
+                    "--set", f"scaler={chain}/train/scaler.json",
+                    "--set", f"windows={tmp_path}/test",
+                    "--out", str(tmp_path / "o")])
+        assert code == 2
+
     def test_divergence_exit_3(self, chain, tmp_path):
         # the BCE path is overflow-proof by construction, so divergence is
         # provoked through the MSE reconstruction loss

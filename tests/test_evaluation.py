@@ -174,6 +174,26 @@ class TestPredictTimeline:
         # windows fit in [0..6] and [10..16] start positions
         assert covered.tolist() == list(range(0, 7)) + list(range(10, 17))
 
+    def test_window_with_missing_cell_gets_marker(self):
+        values = Rng(10).normal(size=(2, 16))
+        scaler = self.scaler_for(toy_frame({"a": values[0].tolist(), "b": values[1].tolist()}))
+        values[1, 9] = np.nan
+        frame = toy_frame({"a": values[0].tolist(), "b": values[1].tolist()},
+                          {"person": [0] * 16})
+
+        class FiniteOnlyModel(ConstantModel):
+            def predict_proba(self, x):
+                assert np.isfinite(x).all()
+                return super().predict_proba(x)
+
+        track = predict_timeline(FiniteOnlyModel([0.8]), frame, scaler, length=4,
+                                 class_names=("person",))
+        covered = np.flatnonzero(track.decisions[0] != NO_PREDICTION)
+        # starts 0..12 fit; those whose window [s, s+4) holds row 9 are 6..9
+        assert covered.tolist() == [0, 1, 2, 3, 4, 5, 10, 11, 12]
+        assert np.isnan(track.probabilities[0][6:10]).all()
+        assert np.allclose(track.probabilities[0][covered], 0.8)
+
     def test_decisions_consistent_with_threshold(self):
         frame = toy_frame({"a": Rng(5).normal(size=(15,)).tolist()},
                           {"person": [0] * 15})

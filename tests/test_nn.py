@@ -195,6 +195,36 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError):
             restore_into(other, load_checkpoint(tmp_path / "ck"))
 
+    def saved_blob(self, tmp_path):
+        save_checkpoint(tmp_path / "ck", {"kind": "x"}, self.build_store())
+        return tmp_path / "ck.bin"
+
+    def test_manifest_carries_blob_sha256(self, tmp_path):
+        import hashlib
+        import json
+        blob = self.saved_blob(tmp_path)
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        assert manifest["blob_sha256"] == hashlib.sha256(blob.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("damage", [
+        lambda b: b[:len(b) // 2],          # truncated
+        lambda b: b[:-3],                   # not a whole number of values
+        lambda b: b + b"\x00" * 8,          # padded by one value
+    ])
+    def test_wrong_blob_length_is_integrity_error(self, tmp_path, damage):
+        blob = self.saved_blob(tmp_path)
+        blob.write_bytes(damage(blob.read_bytes()))
+        with pytest.raises(IntegrityError, match="bytes"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_flipped_byte_is_integrity_error(self, tmp_path):
+        blob = self.saved_blob(tmp_path)
+        data = bytearray(blob.read_bytes())
+        data[7] ^= 0x40  # exponent byte of the first value
+        blob.write_bytes(bytes(data))
+        with pytest.raises(IntegrityError, match="blob_sha256"):
+            load_checkpoint(tmp_path / "ck")
+
     def test_fingerprint_is_canonical(self):
         a = architecture_fingerprint({"kind": "fcn", "filters": [16, 32]})
         b = architecture_fingerprint({"filters": [16, 32], "kind": "fcn"})

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import toy_frame
-from roomsense.errors import ConfigError, DegenerateDataError, SchemaError, SplitError
+from roomsense.errors import (
+    ConfigError,
+    DegenerateDataError,
+    IntegrityError,
+    SchemaError,
+    SplitError,
+)
 from roomsense.frames import SensorFrame
 from roomsense.pipeline import (
     ScalerParams,
@@ -366,3 +372,12 @@ class TestBuildWindows:
         assert again.channel_names == ws.channel_names
         assert again.class_names == ws.class_names
         assert again.label_position == ws.label_position
+
+    @pytest.mark.parametrize("damage", [lambda b: b[:-3], lambda b: b[:-8],
+                                        lambda b: b + b"\x00" * 8])
+    def test_container_wrong_blob_length_is_integrity_error(self, tmp_path, damage):
+        build_windows(self.frame_with_gap(), ["a"], length=4).save(tmp_path / "w")
+        blob = tmp_path / "w.bin"
+        blob.write_bytes(damage(blob.read_bytes()))
+        with pytest.raises(IntegrityError, match="bytes"):
+            WindowSet.load(tmp_path / "w")

@@ -122,6 +122,28 @@ class TestDeterminism:
         assert history.valid_accuracy[-1] >= 0.9
 
 
+class TestValidationPass:
+    def test_one_forward_per_batch(self):
+        from roomsense.training import _validation_pass, loss_for
+
+        class CountingModel(ScriptedModel):
+            forwards = 0
+
+            def forward(self, x, train=False):
+                self.forwards += 1
+                return super().forward(x, train)
+
+            def predict_proba(self, x):
+                raise AssertionError("validation must reuse the loss logits")
+
+        model = CountingModel()
+        valid = stub_windows(600, 1)
+        loss, acc = _validation_pass(model, valid, loss_for(model), 64, False)
+        assert model.forwards == 3  # batches of max(64, 256) rows
+        assert acc == 1.0  # w = 0 gives probability 0.5, which counts as positive
+        assert loss == pytest.approx(np.log(2.0))
+
+
 class TestHistory:
     def test_one_entry_per_completed_epoch(self):
         ws = labelled_windows()
