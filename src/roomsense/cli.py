@@ -105,10 +105,10 @@ COMMAND_KEYS: dict[str, dict] = {
              "windows": None, "threshold": 0.5, "expect_fingerprint": None},
     "predict": {"out": "runs/predict", "checkpoint": None, "scaler": None,
                 "in": None, "length": 7, "position": "first", "threshold": 0.5,
-                "max_gap_s": 360},
+                "max_gap_s": 360, "expect_fingerprint": None},
     "smooth": {"out": "runs/smooth", "track": None, "width": 3},
     "pca": {"out": "runs/pca", "checkpoint": None, "scaler": None,
-            "windows": None},
+            "windows": None, "expect_fingerprint": None},
 }
 
 
@@ -444,9 +444,7 @@ def cmd_train_head(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_eval(cfg: dict, outdir: Path) -> None:
-    expect = cfg["expect_fingerprint"]
-    model = model_from_checkpoint(str(_require(cfg, "checkpoint")),
-                                  expect_fingerprint=expect)
+    model = model_from_checkpoint(str(_require(cfg, "checkpoint")), cfg["expect_fingerprint"])
     scaler = ScalerParams.from_json(
         Path(str(_require(cfg, "scaler"))).read_text(encoding="utf-8"))
     windows = transform(scaler, WindowSet.load(str(_require(cfg, "windows"))))
@@ -460,7 +458,7 @@ def cmd_eval(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_predict(cfg: dict, outdir: Path) -> None:
-    model = model_from_checkpoint(str(_require(cfg, "checkpoint")))
+    model = model_from_checkpoint(str(_require(cfg, "checkpoint")), cfg["expect_fingerprint"])
     scaler = ScalerParams.from_json(
         Path(str(_require(cfg, "scaler"))).read_text(encoding="utf-8"))
     frame = _load_frame(str(_require(cfg, "in")))
@@ -484,7 +482,7 @@ def cmd_smooth(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_pca(cfg: dict, outdir: Path) -> None:
-    model = model_from_checkpoint(str(_require(cfg, "checkpoint")))
+    model = model_from_checkpoint(str(_require(cfg, "checkpoint")), cfg["expect_fingerprint"])
     scaler = ScalerParams.from_json(
         Path(str(_require(cfg, "scaler"))).read_text(encoding="utf-8"))
     windows = transform(scaler, WindowSet.load(str(_require(cfg, "windows"))))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateDataError
 from .frames import SensorFrame
 from .pipeline import (
     DEFAULT_MAX_GAP_S,
@@ -24,18 +24,21 @@ from .pipeline import (
 NO_PREDICTION = -1
 
 
+def _chunked(method, X: np.ndarray, batch_size: int) -> np.ndarray:
+    """``method`` over finite windows in chunks, which bounds layer-cache memory."""
+    if not np.isfinite(X).all():
+        raise DegenerateDataError("a window holds a missing or non-finite cell")
+    return np.concatenate([method(X[i:i + batch_size]) for i in range(0, len(X), batch_size)])
+
+
 def predict_probabilities(model, X: np.ndarray, batch_size: int = 512) -> np.ndarray:
-    """Head probabilities in eval mode, chunked to bound layer-cache memory."""
-    chunks = [model.predict_proba(X[i:i + batch_size])
-              for i in range(0, X.shape[0], batch_size)]
-    return np.concatenate(chunks, axis=0)
+    """Head probabilities in eval mode; DegenerateDataError on a non-finite window."""
+    return _chunked(model.predict_proba, X, batch_size)
 
 
 def feature_matrix(model, X: np.ndarray, batch_size: int = 512) -> np.ndarray:
-    """Model feature space (GAP output / last hidden / latent), chunked."""
-    chunks = [model.feature_space(X[i:i + batch_size])
-              for i in range(0, X.shape[0], batch_size)]
-    return np.concatenate(chunks, axis=0)
+    """Model feature space (GAP output / last hidden / latent); non-finite windows raise."""
+    return _chunked(model.feature_space, X, batch_size)
 
 
 @dataclass(frozen=True)

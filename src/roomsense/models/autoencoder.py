@@ -48,19 +48,14 @@ class RecurrentAutoencoder:
                                      return_sequence=True))
             in_ch = h
         self.out_dense = Dense(self.store, "out", in_ch, config.in_channels, rng)
-        self._length: int | None = None
-        self._latent: np.ndarray | None = None
 
     def arch(self) -> dict:
         return self.config.to_arch()
 
-    def set_rng(self, rng: Rng) -> None:
-        pass
-
-    def encode(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        for layer in self.encoder[:-1]:
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        for layer in self.encoder:
             x = layer.forward(x)
-        return self.encoder[-1].forward(x)
+        return x
 
     def decode(self, z: np.ndarray, length: int) -> np.ndarray:
         x = np.repeat(z[:, :, None], length, axis=2)
@@ -72,9 +67,7 @@ class RecurrentAutoencoder:
         return np.moveaxis(out.reshape(n, length, -1), 2, 1)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._length = x.shape[2]
-        self._latent = self.encode(x, train)
-        return self.decode(self._latent, self._length)
+        return self.decode(self.encode(x), x.shape[2])
 
     def backward(self, drecon: np.ndarray) -> np.ndarray:
         n, _, length = drecon.shape
@@ -89,23 +82,37 @@ class RecurrentAutoencoder:
             dx = layer.backward(dx)
         return dx
 
-    def feature_space(self, x: np.ndarray) -> np.ndarray:
-        return self.encode(x)
+    feature_space = encode
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         raise ConfigError("an autoencoder has no classification head")
 
 
+class _DenseHead:
+    """fc1 -> relu -> fc2 over (N, latent) codes."""
+
+    def __init__(self, store: ParamStore, latent: int, config: HeadConfig, rng: Rng):
+        self.config = config  # the training loop reads head_mode for loss and accuracy
+        self.fc1 = Dense(store, "head.fc1", latent, config.hidden, rng)
+        self.act = Relu()
+        self.fc2 = Dense(store, "head.fc2", config.hidden, config.classes, rng)
+
+    def forward(self, z: np.ndarray, train: bool = False) -> np.ndarray:
+        return self.fc2.forward(self.act.forward(self.fc1.forward(z)))
+
+    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+        return self.fc1.backward(self.act.backward(self.fc2.backward(dlogits)))
+
+
 class EncoderClassifier:
-    """Frozen stacked-LSTM encoder with a trainable two-layer head."""
+    """Frozen LSTM encoder (the prefix, ``feature_space``) under a trainable head ``suffix``."""
 
     kind = "encoder_classifier"
 
     def __init__(self, ae_config: AutoencoderConfig, head: HeadConfig, seed: int = 0,
                  encoder_buffers: dict[str, np.ndarray] | None = None):
         self.ae_config = ae_config
-        self.head_config = head
-        self.config = head  # head_mode lives here
+        self.config = head
         self.seed = seed
         self.store = ParamStore()
         rng = Rng(seed)
@@ -115,36 +122,25 @@ class EncoderClassifier:
                 if name in self.store:
                     self.store[name].value[...] = value
         self.store.set_trainable(False, prefix=_ENCODER_PREFIX)
-        self.fc1 = Dense(self.store, "head.fc1", ae_config.latent, head.hidden, rng)
-        self.act = Relu()
-        self.fc2 = Dense(self.store, "head.fc2", head.hidden, head.classes, rng)
-        self._latent: np.ndarray | None = None
+        self.suffix = _DenseHead(self.store, ae_config.latent, head, rng)
 
     def arch(self) -> dict:
         return {"kind": "encoder_classifier",
                 "autoencoder": self.ae_config.to_arch(),
-                "head": self.head_config.to_arch()}
-
-    def set_rng(self, rng: Rng) -> None:
-        pass
+                "head": self.config.to_arch()}
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        z = x
-        for layer in self.encoder[:-1]:
-            z = layer.forward(z)
-        self._latent = self.encoder[-1].forward(z)
-        return self.fc2.forward(self.act.forward(self.fc1.forward(self._latent)))
+        return self.suffix.forward(self.feature_space(x))
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         # encoder is frozen; gradient stops at the latent code
-        return self.fc1.backward(self.act.backward(self.fc2.backward(dlogits)))
+        return self.suffix.backward(dlogits)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return head_probabilities(self.forward(x, train=False), self.head_config.head_mode)
+        return head_probabilities(self.forward(x, train=False), self.config.head_mode)
 
-    def feature_space(self, x: np.ndarray) -> np.ndarray:
-        self.forward(x, train=False)
-        return self._latent
+    # the autoencoder's own encode loop, run over this model's frozen copy
+    feature_space = RecurrentAutoencoder.encode
 
 
 def build_autoencoder(config: AutoencoderConfig, seed: int = 0) -> RecurrentAutoencoder:

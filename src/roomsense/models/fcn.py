@@ -39,9 +39,6 @@ class FcnClassifier:
     def arch(self) -> dict:
         return self.config.to_arch()
 
-    def set_rng(self, rng: Rng) -> None:
-        pass  # no stochastic layers
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         for conv, bn, act in zip(self.convs, self.bns, self.relus):
             x = act.forward(bn.forward(conv.forward(x), train))

@@ -85,9 +85,6 @@ class InceptionNetwork:
     def arch(self) -> dict:
         return self.config.to_arch()
 
-    def set_rng(self, rng: Rng) -> None:
-        pass
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.shape[1] != self.config.in_channels:
             raise ShapeError(

@@ -28,9 +28,6 @@ class LstmClassifier:
     def arch(self) -> dict:
         return self.config.to_arch()
 
-    def set_rng(self, rng: Rng) -> None:
-        self.dropout.rng = rng
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         self._hidden = self.lstm.forward(x)
         return self.head.forward(self.dropout.forward(self._hidden, train))

@@ -89,8 +89,8 @@ class AdamState:
 def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update over the trainable buffers.
 
-    Frozen buffers and their moments stay untouched; all gradients are
-    zeroed afterwards.
+    Frozen buffers, their moments and their gradients (no backward pass writes
+    one) stay untouched; each updated buffer's gradient is zeroed afterwards.
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
@@ -110,7 +110,7 @@ def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
         v *= b2
         v += (1.0 - b2) * g * g
         p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
-    store.zero_grads()
+        g[...] = 0.0
 
 
 def cosine_lr(step: int, total: int, lr_max: float, lr_min: float = 0.0) -> float:

@@ -109,12 +109,6 @@ class Rng:
         """Uniform permutation of range(n): stable argsort of n raw outputs."""
         return np.argsort(self.raw(n), kind="stable")
 
-    def choice(self, values: list, size=None):
-        idx = self.integers(len(values), size=size)
-        if size is None:
-            return values[idx]
-        return [values[i] for i in np.asarray(idx).ravel()]
-
     def spawn(self, stream: int) -> "Rng":
         """Independent child generator (documented splitmix derivation)."""
         return Rng(derive_seed(int(self._seed), stream))

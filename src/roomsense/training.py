@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
+from .evaluation import feature_matrix
 from .nn import (
     AdamState,
     adam_step,
@@ -105,12 +106,22 @@ def loss_for(model):
     return softmax_cross_entropy if _head_mode(model) == "single_label" else bce_with_logits
 
 
+@dataclass(frozen=True)
+class _Encoded:
+    """A labelled set after a model's frozen prefix: (N, D) features, (N, K) labels."""
+
+    X: np.ndarray
+    Y: np.ndarray
+
+    __len__ = WindowSet.__len__
+
+
 def _batches(n: int, batch_size: int, perm: np.ndarray):
     for start in range(0, n, batch_size):
         yield perm[start:start + batch_size]
 
 
-def _validation_pass(model, ws: WindowSet, loss_fn, batch_size: int,
+def _validation_pass(model, ws: WindowSet | _Encoded, loss_fn, batch_size: int,
                      reconstruction: bool) -> tuple[float, float | None]:
     n = len(ws)
     total_loss = 0.0
@@ -135,7 +146,12 @@ def _train_loop(model, train: WindowSet, valid: WindowSet, cfg: TrainConfig,
                 reconstruction: bool) -> History:
     loss_fn = loss_for(model)
     shuffle_rng = Rng(derive_seed(cfg.seed, 1))
-    model.set_rng(Rng(derive_seed(cfg.seed, 2)))
+    if hasattr(model, "dropout"):
+        model.dropout.rng = Rng(derive_seed(cfg.seed, 2))
+    # A frozen prefix takes no gradient: encode each window once, train the suffix.
+    net = getattr(model, "suffix", model)
+    if net is not model:
+        train, valid = (_Encoded(feature_matrix(model, ws.X), ws.Y) for ws in (train, valid))
     state = AdamState(model.store)
     n = len(train)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
@@ -153,19 +169,19 @@ def _train_loop(model, train: WindowSet, valid: WindowSet, cfg: TrainConfig,
         for idx in _batches(n, cfg.batch_size, perm):
             xb = train.X[idx]
             target = xb if reconstruction else train.Y[idx]
-            out = model.forward(xb, train=True)
+            out = net.forward(xb, train=True)
             loss, grad = loss_fn(out, target)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite training loss at epoch {epoch}", epoch=epoch)
-            model.backward(grad)
+            net.backward(grad)
             lr = (cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
                   if cfg.schedule == "cosine" else cfg.lr_max)
             adam_step(model.store, state, lr)
             last_lr = lr
             step += 1
             epoch_loss += loss * len(idx)
-        valid_loss, valid_acc = _validation_pass(model, valid, loss_fn,
+        valid_loss, valid_acc = _validation_pass(net, valid, loss_fn,
                                                  cfg.batch_size, reconstruction)
         if not math.isfinite(valid_loss):
             raise TrainingDivergedError(

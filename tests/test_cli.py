@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from roomsense.cli import main
+from roomsense.pipeline import WindowSet
 
 
 def run(args):
@@ -124,6 +125,32 @@ class TestValidation:
                     "--set", f"expect_fingerprint={wrong}",
                     "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("command,data_key,data", [
+        ("predict", "in", "clean/clean.csv"), ("pca", "windows", "split/test")])
+    def test_predict_pca_check_fingerprint(self, chain, tmp_path, capsys, command,
+                                           data_key, data):
+        right = json.loads((chain / "train/model.json").read_text())["fingerprint"]
+        for expect, code in ((right, 0), ("0" * 64, 2)):
+            assert run([command, "--set", f"checkpoint={chain}/train/model",
+                        "--set", f"scaler={chain}/train/scaler.json",
+                        "--set", f"{data_key}={chain}/{data}",
+                        "--set", f"expect_fingerprint={expect}",
+                        "--out", str(tmp_path / "o")]) == code
+        assert "fingerprint mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "pca"])
+    def test_non_finite_window_exit_2(self, chain, tmp_path, capsys, command):
+        windows = WindowSet.load(chain / "split/test")
+        windows.X[3, 1, 2] = float("nan")
+        windows.save(tmp_path / "test")
+        code = run([command, "--set", f"checkpoint={chain}/train/model",
+                    "--set", f"scaler={chain}/train/scaler.json",
+                    "--set", f"windows={tmp_path}/test", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.json").exists()
+        assert not (tmp_path / "o" / "pca.json").exists()
 
     def test_damaged_checkpoint_exit_2(self, chain, tmp_path):
         for rel in ("model.json", "model.bin"):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import toy_frame
-from roomsense.errors import ConfigError
+from roomsense.errors import ConfigError, DegenerateDataError
 from roomsense.evaluation import (
     NO_PREDICTION,
     PredictionTrack,
     evaluate,
+    feature_matrix,
     predict_probabilities,
     predict_timeline,
     smooth,
@@ -113,6 +114,21 @@ class TestEvaluate:
         metrics_high, _ = evaluate(fm, windows_with_labels(y), threshold=0.58)
         assert metrics_low.accuracy == 0.5
         assert metrics_high.accuracy == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window_rejected(self, bad):
+        class Untouchable:
+            def predict_proba(self, x):
+                raise AssertionError("a non-finite window reached the model")
+
+            feature_space = predict_proba
+
+        ws = windows_with_labels(np.ones((6, 1)))
+        ws.X[4, 0, 1] = bad
+        with pytest.raises(DegenerateDataError, match="non-finite"):
+            evaluate(Untouchable(), ws)
+        with pytest.raises(DegenerateDataError, match="non-finite"):
+            feature_matrix(Untouchable(), ws.X)
 
     def test_batched_probabilities_match(self):
         probs = Rng(5).uniform(size=(23, 2))

@@ -61,7 +61,14 @@ class TestAdam:
         adam_step(store, state, lr=0.1)
         assert p.value.tolist() == [1.0, 1.0, 1.0]
         assert state.m["w"].tolist() == [0.0, 0.0, 0.0]
-        assert p.grad.tolist() == [0.0, 0.0, 0.0]  # grads zeroed after the step
+        assert p.grad.tolist() == [5.0, 5.0, 5.0]  # only updated buffers' grads are zeroed
+
+    def test_updated_grads_zeroed(self):
+        store = ParamStore()
+        live = store.add("head.w", np.ones(3))
+        live.grad[...] = 0.5
+        adam_step(store, AdamState(store), lr=0.1)
+        assert live.grad.tolist() == [0.0, 0.0, 0.0]
 
     def test_hand_computed_first_step(self):
         store = ParamStore()

@@ -30,9 +30,6 @@ class ScriptedModel:
         self.store = ParamStore()
         self.w = self.store.add("w", np.array([0.0]))
 
-    def set_rng(self, rng):
-        pass
-
     def forward(self, x, train=False):
         return np.full((x.shape[0], 1), self.w.value[0])
 
