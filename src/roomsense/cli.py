@@ -4,14 +4,17 @@ Every command reads an optional JSON config (``--config``), applies ``--set
 key=value`` overrides (values parsed as JSON, falling back to strings),
 validates against its documented key set (unknown keys are rejected), writes
 the resolved config next to its outputs, and emits machine-readable JSON/CSV
-artifacts plus a short human-readable summary on stdout.
+artifacts plus a short human-readable summary on stdout. The nested ``model``,
+``head`` and ``train`` objects are checked against the fields of their config
+dataclasses (``roomsense.models.config``, ``TrainConfig``), which also supply
+every default; the CLI fills in only what it derives from the windows
+(``in_channels``, ``classes``, ``window``).
 
 Exit codes: 0 success, 1 config/validation error, 2 runtime or data error,
 3 training divergence.
 
-Environment overrides: ROOMSENSE_OUTDIR replaces the output directory,
-ROOMSENSE_THREADS sets the tune worker count. Everything else comes from the
-config file or --set.
+Environment override: ROOMSENSE_OUTDIR replaces the output directory.
+Everything else comes from the config file or --set.
 """
 
 from __future__ import annotations
@@ -46,13 +49,16 @@ from .frames import (
     select_features,
 )
 from .models import (
+    KINDS,
+    FcnConfig,
+    HeadConfig,
     build_encoder_classifier,
     build_model,
-    HeadConfig,
     model_from_checkpoint,
     param_count,
     save_model,
 )
+from .models.config import field_names, from_fields, to_arch
 from .nn.checkpoint import load_checkpoint
 from .pca import pca_fit, pca_project, projection_csv
 from .pipeline import (
@@ -179,12 +185,7 @@ def _load_frame(path: str) -> SensorFrame:
 
 
 def _train_config(doc: dict, seed: int) -> TrainConfig:
-    known = {"epochs", "batch_size", "lr_max", "lr_min", "schedule",
-             "early_stopping", "patience", "min_delta", "shuffle", "seed"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown train config key {sorted(unknown)[0]!r}")
-    return TrainConfig(**{**doc, "seed": doc.get("seed", seed)})
+    return from_fields(TrainConfig, {"seed": seed, **doc}, "train config", complete=False)
 
 
 def _write_history(outdir: Path, history) -> None:
@@ -313,31 +314,18 @@ def cmd_split(cfg: dict, outdir: Path) -> None:
 
 
 def _model_arch(cfg_model: dict, windows: WindowSet) -> dict:
-    arch = dict(cfg_model or {})
-    if "kind" not in arch:
-        raise ConfigError("model config needs a 'kind' (fcn|lstm|inception|autoencoder)")
-    arch.setdefault("in_channels", len(windows.channel_names))
-    if arch["kind"] != "autoencoder":
-        arch.setdefault("classes", windows.Y.shape[1])
-        arch.setdefault("head_mode", "multi_label")
-    if arch["kind"] == "fcn":
-        arch.setdefault("filters", [128, 256, 128])
-        arch.setdefault("kernels", [8, 5, 3])
-    elif arch["kind"] == "lstm":
-        arch.setdefault("hidden", 100)
-        arch.setdefault("bidirectional", False)
-        arch.setdefault("dropout", 0.0)
-    elif arch["kind"] == "inception":
-        arch.setdefault("filters", 32)
-        arch.setdefault("bottleneck", 32)
-        arch.setdefault("branch_kernels", [10, 20, 40])
-        arch.setdefault("depth", 6)
-        arch.setdefault("ensemble", 1)
-    elif arch["kind"] == "autoencoder":
-        arch.setdefault("encoder_hidden", [128, 64])
-        arch.setdefault("latent", 10)
-        arch.setdefault("window", windows.length)
-    return arch
+    """The model's dataclass defaults, then what the windows give, then the user's keys."""
+    doc = dict(cfg_model) if isinstance(cfg_model, dict) else {}
+    kind = doc.pop("kind", None)
+    if kind not in KINDS:
+        raise ConfigError(f"model config needs a 'kind' ({'|'.join(KINDS)}), got {kind!r}")
+    config_cls = KINDS[kind][0]
+    derived = {"in_channels": len(windows.channel_names), "classes": windows.Y.shape[1],
+               "window": windows.length}
+    names = field_names(config_cls)
+    config = from_fields(config_cls, {**{k: v for k, v in derived.items() if k in names}, **doc},
+                         "model config", complete=False)
+    return to_arch(config, kind)
 
 
 def cmd_train(cfg: dict, outdir: Path) -> None:
@@ -367,34 +355,25 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
     train_s = transform(scaler, train_w)
     valid_s = transform(scaler, valid_w)
     kind = cfg["model_kind"]
-    base = dict(cfg["model"] or {})
-    base["kind"] = kind
-    arch = _model_arch(base, train_w)
+    base = {**(cfg["model"] or {}), "kind": kind}
+    blocks = len(base.get("kernels", FcnConfig.kernels))
     if cfg["space"] is not None:
         space = SearchSpace({k: list(v) for k, v in cfg["space"].items()})
     elif kind == "fcn":
-        space = fcn_search_space(blocks=len(arch["kernels"]))
+        space = fcn_search_space(blocks=blocks)
     elif kind == "lstm":
         space = lstm_search_space()
     else:
         raise ConfigError(f"no default search space for model kind {kind!r}")
 
     def build(params: dict, trial_seed: int):
-        trial_arch = dict(arch)
         if kind == "fcn":
-            trial_arch["filters"] = [params[f"filters{i}"]
-                                     for i in range(len(arch["kernels"]))]
-        elif kind == "lstm":
-            trial_arch["hidden"] = params["hidden"]
-            trial_arch["dropout"] = params["dropout"]
-        else:
-            trial_arch.update(params)
-        return build_model(trial_arch, seed=trial_seed)
+            params = {"filters": [params[f"filters{i}"] for i in range(blocks)]}
+        return build_model(_model_arch({**base, **params}, train_w), seed=trial_seed)
 
-    workers = int(os.environ.get("ROOMSENSE_THREADS", "1"))
     tcfg = _train_config(cfg["train"], seed)
     trials, best = random_search(space, build, train_s, valid_s, tcfg,
-                                 int(cfg["trials"]), seed, max_workers=max(1, workers))
+                                 int(cfg["trials"]), seed)
     _write(outdir, "trials.json", trials_to_json(trials, best))
     lines = ["trial,f1_mean," + ",".join(sorted(space.grids))]
     for t in trials:
@@ -429,10 +408,8 @@ def cmd_train_head(cfg: dict, outdir: Path) -> None:
     train_w = WindowSet.load(str(_require(cfg, "train_windows")))
     valid_w = WindowSet.load(str(_require(cfg, "valid_windows")))
     seed = int(cfg["seed"])
-    head_doc = dict(cfg["head"] or {})
-    head = HeadConfig(hidden=int(head_doc.get("hidden", 100)),
-                      classes=int(head_doc.get("classes", train_w.Y.shape[1])),
-                      head_mode=head_doc.get("head_mode", "multi_label"))
+    head = from_fields(HeadConfig, {"classes": train_w.Y.shape[1], **(cfg["head"] or {})},
+                       "head config", complete=False)
     model = build_encoder_classifier(ckpt, head, seed=seed)
     tcfg = _train_config(cfg["train"], seed)
     model, history = train_classifier(model, transform(scaler, train_w),

@@ -18,7 +18,10 @@ from .config import (
     HeadConfig,
     InceptionConfig,
     LstmConfig,
-    config_from_arch,
+    arch_fields,
+    from_arch,
+    from_fields,
+    to_arch,
 )
 from .fcn import FcnClassifier, build_fcn
 from .inception import (
@@ -37,30 +40,49 @@ __all__ = [
     "build_inception_ensemble", "ensemble_predict",
     "build_autoencoder", "build_encoder_classifier",
     "build_model", "model_from_checkpoint", "param_count", "save_model",
-    "config_from_arch",
+    "KINDS", "config_from_arch", "model_arch",
 ]
+
+# kind -> (config class, model class) for every model whose arch dict is
+# to_arch(config, kind). An encoder classifier's arch nests its autoencoder's
+# arch and its head's fields instead.
+KINDS = {model.kind: (config, model) for config, model in (
+    (FcnConfig, FcnClassifier), (LstmConfig, LstmClassifier),
+    (InceptionConfig, InceptionNetwork), (AutoencoderConfig, RecurrentAutoencoder))}
+
+
+def model_arch(model) -> dict:
+    if isinstance(model, EncoderClassifier):
+        return {"kind": model.kind,
+                "autoencoder": to_arch(model.ae_config, RecurrentAutoencoder.kind),
+                "head": arch_fields(model.config)}
+    return to_arch(model.config, model.kind)
+
+
+def config_from_arch(arch: dict):
+    """The config of an arch dict; an encoder classifier's is (autoencoder, head)."""
+    kind = arch.get("kind") if isinstance(arch, dict) else None
+    if kind == EncoderClassifier.kind:
+        for key in arch:
+            if key not in ("kind", "autoencoder", "head"):
+                raise ConfigError(f"unknown {kind} architecture key {key!r}")
+        return (from_arch(AutoencoderConfig, arch.get("autoencoder"), RecurrentAutoencoder.kind),
+                from_fields(HeadConfig, arch.get("head"), "head"))
+    if kind not in KINDS:
+        raise ConfigError(f"unknown architecture kind {kind!r}")
+    return from_arch(KINDS[kind][0], arch, kind)
 
 
 def build_model(arch: dict, seed: int = 0):
     """Instantiate a model from its architecture dict."""
-    kind = arch.get("kind")
-    cfg = config_from_arch(arch)
-    if kind == "fcn":
-        return FcnClassifier(cfg, seed)
-    if kind == "lstm":
-        return LstmClassifier(cfg, seed)
-    if kind == "inception":
-        return InceptionNetwork(cfg, seed)
-    if kind == "autoencoder":
-        return RecurrentAutoencoder(cfg, seed)
-    if kind == "encoder_classifier":
-        ae_cfg, head_cfg = cfg
-        return EncoderClassifier(ae_cfg, head_cfg, seed)
-    raise ConfigError(f"unknown architecture kind {kind!r}")
+    config = config_from_arch(arch)
+    if arch["kind"] == EncoderClassifier.kind:
+        return EncoderClassifier(*config, seed)
+    return KINDS[arch["kind"]][1](config, seed)
 
 
 def save_model(model, path: str | Path, step: int = 0) -> None:
-    save_checkpoint(path, model.arch(), model.store, seed=model.seed, step=step)
+    save_checkpoint(path, model_arch(model), model.store, seed=model.seed, step=step)
 
 
 def model_from_checkpoint(path: str | Path, expect_fingerprint: str | None = None):

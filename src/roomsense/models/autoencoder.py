@@ -15,7 +15,7 @@ from ..nn import Dense, Lstm, ParamStore
 from ..nn.checkpoint import Checkpoint
 from ..nn.layers import Relu, head_probabilities
 from ..rng import Rng
-from .config import AutoencoderConfig, HeadConfig
+from .config import AutoencoderConfig, HeadConfig, from_arch
 
 _ENCODER_PREFIX = "enc"
 
@@ -48,9 +48,6 @@ class RecurrentAutoencoder:
                                      return_sequence=True))
             in_ch = h
         self.out_dense = Dense(self.store, "out", in_ch, config.in_channels, rng)
-
-    def arch(self) -> dict:
-        return self.config.to_arch()
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         for layer in self.encoder:
@@ -124,11 +121,6 @@ class EncoderClassifier:
         self.store.set_trainable(False, prefix=_ENCODER_PREFIX)
         self.suffix = _DenseHead(self.store, ae_config.latent, head, rng)
 
-    def arch(self) -> dict:
-        return {"kind": "encoder_classifier",
-                "autoencoder": self.ae_config.to_arch(),
-                "head": self.config.to_arch()}
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         return self.suffix.forward(self.feature_space(x))
 
@@ -155,12 +147,7 @@ def build_encoder_classifier(source: RecurrentAutoencoder | Checkpoint,
         buffers = {p.name: p.value for p in source.store
                    if p.name.startswith(_ENCODER_PREFIX)}
     else:
-        if source.arch.get("kind") != "autoencoder":
-            raise ConfigError(
-                f"encoder classifier needs an autoencoder checkpoint, got {source.arch.get('kind')!r}")
-        a = source.arch
-        ae_config = AutoencoderConfig(a["in_channels"], tuple(a["encoder_hidden"]),
-                                      a["latent"], a["window"])
+        ae_config = from_arch(AutoencoderConfig, source.arch, RecurrentAutoencoder.kind)
         buffers = {name: value for name, value in source.buffers.items()
                    if name.startswith(_ENCODER_PREFIX)}
     return EncoderClassifier(ae_config, head, seed=seed, encoder_buffers=buffers)

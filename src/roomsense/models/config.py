@@ -1,8 +1,14 @@
-"""Declarative architecture configs and their JSON forms."""
+"""Declarative architecture configs: the one place that lists each model's fields.
+
+A model's arch dict is ``{"kind": kind, **fields}`` (``to_arch``), tuples
+written as lists. ``from_fields`` reads fields back as ``cls(**fields)`` behind
+a check that names any unknown or missing key; the CLI uses it for its head
+and training configs too.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..errors import ConfigError
 
@@ -12,6 +18,46 @@ HEAD_MODES = ("multi_label", "single_label")
 def _check_head_mode(mode: str) -> None:
     if mode not in HEAD_MODES:
         raise ConfigError(f"head_mode must be one of {HEAD_MODES}, got {mode!r}")
+
+
+def field_names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+def arch_fields(config) -> dict:
+    """A config's fields as JSON values: tuples become lists."""
+    doc = {}
+    for name in field_names(config):
+        value = getattr(config, name)
+        doc[name] = list(value) if isinstance(value, tuple) else value
+    return doc
+
+
+def to_arch(config, kind: str) -> dict:
+    return {"kind": kind, **arch_fields(config)}
+
+
+def from_fields(cls, doc: dict, what: str, complete: bool = True):
+    """``cls(**doc)``; any key ``cls`` lacks, or (if ``complete``) any field ``doc`` lacks, raises."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
+    names = field_names(cls)
+    for key in doc:
+        if key not in names:
+            raise ConfigError(f"unknown {what} key {key!r}")
+    for name in names if complete else ():
+        if name not in doc:
+            raise ConfigError(f"{what} is missing key {name!r}")
+    return cls(**doc)
+
+
+def from_arch(cls, arch: dict, kind: str):
+    """Parse the arch dict of a ``kind`` model whose config class is ``cls``."""
+    found = arch.get("kind") if isinstance(arch, dict) else None
+    if found != kind:
+        raise ConfigError(f"expected a {kind!r} architecture, got {found!r}")
+    return from_fields(cls, {k: v for k, v in arch.items() if k != "kind"},
+                       f"{kind} architecture")
 
 
 @dataclass(frozen=True)
@@ -30,11 +76,6 @@ class FcnConfig:
         if len(self.filters) != len(self.kernels) or not self.filters:
             raise ConfigError("filters and kernels must have equal length >= 1")
         _check_head_mode(self.head_mode)
-
-    def to_arch(self) -> dict:
-        return {"kind": "fcn", "in_channels": self.in_channels,
-                "filters": list(self.filters), "kernels": list(self.kernels),
-                "classes": self.classes, "head_mode": self.head_mode}
 
 
 @dataclass(frozen=True)
@@ -55,11 +96,6 @@ class LstmConfig:
             raise ConfigError("dropout must be in [0, 1)")
         _check_head_mode(self.head_mode)
 
-    def to_arch(self) -> dict:
-        return {"kind": "lstm", "in_channels": self.in_channels, "hidden": self.hidden,
-                "bidirectional": self.bidirectional, "dropout": self.dropout,
-                "classes": self.classes, "head_mode": self.head_mode}
-
 
 @dataclass(frozen=True)
 class InceptionConfig:
@@ -70,7 +106,6 @@ class InceptionConfig:
     bottleneck: int = 32
     branch_kernels: tuple[int, ...] = (10, 20, 40)
     depth: int = 6
-    ensemble: int = 5
     classes: int = 2
     head_mode: str = "multi_label"
 
@@ -78,16 +113,7 @@ class InceptionConfig:
         object.__setattr__(self, "branch_kernels", tuple(self.branch_kernels))
         if self.depth % 3 != 0 or self.depth < 3:
             raise ConfigError("depth must be a positive multiple of 3")
-        if self.ensemble < 1:
-            raise ConfigError("ensemble size must be >= 1")
         _check_head_mode(self.head_mode)
-
-    def to_arch(self) -> dict:
-        return {"kind": "inception", "in_channels": self.in_channels,
-                "filters": self.filters, "bottleneck": self.bottleneck,
-                "branch_kernels": list(self.branch_kernels), "depth": self.depth,
-                "ensemble": self.ensemble, "classes": self.classes,
-                "head_mode": self.head_mode}
 
 
 @dataclass(frozen=True)
@@ -114,11 +140,6 @@ class AutoencoderConfig:
     def decoder_sizes(self) -> tuple[int, ...]:
         return (self.latent, *reversed(self.encoder_hidden))
 
-    def to_arch(self) -> dict:
-        return {"kind": "autoencoder", "in_channels": self.in_channels,
-                "encoder_hidden": list(self.encoder_hidden), "latent": self.latent,
-                "window": self.window}
-
 
 @dataclass(frozen=True)
 class HeadConfig:
@@ -132,34 +153,3 @@ class HeadConfig:
         if self.hidden < 1:
             raise ConfigError("head hidden size must be >= 1")
         _check_head_mode(self.head_mode)
-
-    def to_arch(self) -> dict:
-        return {"hidden": self.hidden, "classes": self.classes,
-                "head_mode": self.head_mode}
-
-
-def config_from_arch(arch: dict):
-    kind = arch.get("kind")
-    if kind == "fcn":
-        return FcnConfig(arch["in_channels"], tuple(arch["filters"]),
-                         tuple(arch["kernels"]), arch["classes"], arch["head_mode"])
-    if kind == "lstm":
-        return LstmConfig(arch["in_channels"], arch["hidden"], arch["bidirectional"],
-                          arch["dropout"], arch["classes"], arch["head_mode"])
-    if kind == "inception":
-        return InceptionConfig(arch["in_channels"], arch["filters"], arch["bottleneck"],
-                               tuple(arch["branch_kernels"]), arch["depth"],
-                               arch["ensemble"], arch["classes"], arch["head_mode"])
-    if kind == "autoencoder":
-        return AutoencoderConfig(arch["in_channels"], tuple(arch["encoder_hidden"]),
-                                 arch["latent"], arch["window"])
-    if kind == "encoder_classifier":
-        return (
-            AutoencoderConfig(arch["autoencoder"]["in_channels"],
-                              tuple(arch["autoencoder"]["encoder_hidden"]),
-                              arch["autoencoder"]["latent"],
-                              arch["autoencoder"]["window"]),
-            HeadConfig(arch["head"]["hidden"], arch["head"]["classes"],
-                       arch["head"]["head_mode"]),
-        )
-    raise ConfigError(f"unknown architecture kind {kind!r}")

@@ -36,9 +36,6 @@ class FcnClassifier:
         self.head = Dense(self.store, "head", in_ch, config.classes, rng)
         self._features: np.ndarray | None = None
 
-    def arch(self) -> dict:
-        return self.config.to_arch()
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         for conv, bn, act in zip(self.convs, self.bns, self.relus):
             x = act.forward(bn.forward(conv.forward(x), train))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ConfigError, ShapeError
 from ..nn import BatchNorm1d, Conv1d, Dense, GlobalAvgPool, MaxPool1dSame, ParamStore, Relu
 from ..nn.layers import head_probabilities
 from ..rng import Rng, derive_seed
@@ -82,9 +82,6 @@ class InceptionNetwork:
         self.head = Dense(self.store, "head", width, config.classes, rng)
         self._features: np.ndarray | None = None
 
-    def arch(self) -> dict:
-        return self.config.to_arch()
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         if x.shape[1] != self.config.in_channels:
             raise ShapeError(
@@ -123,9 +120,12 @@ def build_inception(config: InceptionConfig, seed: int = 0) -> InceptionNetwork:
     return InceptionNetwork(config, seed)
 
 
-def build_inception_ensemble(config: InceptionConfig, seed: int = 0) -> list[InceptionNetwork]:
-    """Independently initialized member networks (derived seeds)."""
-    return [InceptionNetwork(config, derive_seed(seed, i)) for i in range(config.ensemble)]
+def build_inception_ensemble(config: InceptionConfig, members: int,
+                             seed: int = 0) -> list[InceptionNetwork]:
+    """``members`` independently initialized networks (derived seeds)."""
+    if members < 1:
+        raise ConfigError("an ensemble needs at least one member")
+    return [InceptionNetwork(config, derive_seed(seed, i)) for i in range(members)]
 
 
 def ensemble_predict(models: list, x: np.ndarray) -> np.ndarray:

@@ -25,9 +25,6 @@ class LstmClassifier:
         self.head = Dense(self.store, "head", width, config.classes, rng)
         self._hidden: np.ndarray | None = None
 
-    def arch(self) -> dict:
-        return self.config.to_arch()
-
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         self._hidden = self.lstm.forward(x)
         return self.head.forward(self.dropout.forward(self._hidden, train))

@@ -4,7 +4,8 @@
 its fingerprint, buffer names/shapes/flags, the blob's SHA-256, seed, step)
 and ``<path>.bin`` (the named buffers concatenated in manifest order as
 little-endian float64). The round trip is bit-exact; ``load_checkpoint``
-checks the blob's length and hash before reading any buffer.
+recomputes the architecture fingerprint and checks the blob's length and hash
+before reading any buffer.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def save_checkpoint(path: str | Path, arch: dict, store: ParamStore,
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     manifest = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
+    fingerprint = architecture_fingerprint(manifest["architecture"])
+    if fingerprint != manifest.get("fingerprint"):
+        raise IntegrityError("checkpoint architecture does not match the manifest's fingerprint")
     blob = path.with_suffix(".bin").read_bytes()
     sizes = [int(np.prod(entry["shape"])) for entry in manifest["buffers"]]
     if len(blob) != 8 * sum(sizes):
@@ -82,7 +86,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         trainable=trainable,
         seed=int(manifest["seed"]),
         step=int(manifest["step"]),
-        fingerprint=manifest["fingerprint"],
+        fingerprint=fingerprint,
     )
 
 

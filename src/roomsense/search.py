@@ -2,16 +2,15 @@
 
 Each trial samples one point per grid (with replacement across trials),
 derives its own seed with the documented splitmix step, trains through
-train_classifier, and scores mean validation F1. Trials are independent, so
-running them in a thread pool yields the same log as serial execution;
-results are always ordered by trial index.
+train_classifier, and scores mean validation F1. Trials run one after another
+in trial-index order; each one already keeps the numpy engine busy, so
+running several at once on the same cores only makes each slower.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,16 +80,16 @@ def trials_to_json(trials: list[TrialResult], best: TrialResult) -> str:
 
 
 def random_search(space: SearchSpace, build, train: WindowSet, valid: WindowSet,
-                  train_cfg: TrainConfig, trials: int, seed: int,
-                  max_workers: int = 1) -> tuple[list[TrialResult], TrialResult]:
+                  train_cfg: TrainConfig, trials: int,
+                  seed: int) -> tuple[list[TrialResult], TrialResult]:
     """Run seeded trials; best = max mean validation F1, ties to the earlier trial.
 
     ``build(params, seed)`` must return a fresh model for the sampled params.
     """
     if trials < 1:
         raise ConfigError("need at least one trial")
-
-    def run_trial(i: int) -> TrialResult:
+    results = []
+    for i in range(trials):
         trial_seed = derive_seed(seed, i)
         params = space.sample(Rng(trial_seed))
         model = build(params, trial_seed)
@@ -98,18 +97,12 @@ def random_search(space: SearchSpace, build, train: WindowSet, valid: WindowSet,
         t0 = time.perf_counter()
         model, _ = train_classifier(model, train, valid, cfg)
         metrics, _ = evaluate(model, valid)
-        return TrialResult(
+        results.append(TrialResult(
             index=i, params=params, seed=trial_seed,
             f1_per_class=[float(f) for f in metrics.f1],
             f1_mean=float(np.mean(metrics.f1)),
             wall_seconds=time.perf_counter() - t0,
-        )
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(i) for i in range(trials)]
+        ))
     return results, select_best(results)
 
 

@@ -300,7 +300,7 @@ def _end_to_end_gradient_sweep() -> float:
     check(lstm, Rng(204).normal(size=(2, 2, 4)), lambda o: bce_with_logits(o, y3))
 
     inc = build_inception(InceptionConfig(in_channels=2, filters=2, bottleneck=2,
-                                          branch_kernels=(3, 5), depth=3, ensemble=1),
+                                          branch_kernels=(3, 5), depth=3),
                           seed=13)
     check(inc, Rng(205).normal(size=(2, 2, 8)), lambda o: bce_with_logits(o, y3))
 

@@ -96,7 +96,7 @@ class TestLstmClassifier:
 class TestInception:
     def toy_config(self, **kw):
         defaults = dict(in_channels=3, filters=2, bottleneck=2,
-                        branch_kernels=(3, 5, 7), depth=3, ensemble=1, classes=2)
+                        branch_kernels=(3, 5, 7), depth=3, classes=2)
         defaults.update(kw)
         return InceptionConfig(**defaults)
 
@@ -114,15 +114,15 @@ class TestInception:
 
     def test_ensemble_of_one_equals_single(self):
         cfg = self.toy_config()
-        members = build_inception_ensemble(cfg, seed=5)
+        members = build_inception_ensemble(cfg, 1, seed=5)
         assert len(members) == 1
         x = Rng(3).normal(size=(2, 3, 10))
         members[0].forward(x, train=True)  # initialize batch-norm stats
         assert np.allclose(ensemble_predict(members, x), members[0].predict_proba(x))
 
     def test_ensemble_averages_probabilities(self):
-        cfg = self.toy_config(ensemble=3)
-        members = build_inception_ensemble(cfg, seed=5)
+        cfg = self.toy_config()
+        members = build_inception_ensemble(cfg, 3, seed=5)
         x = Rng(4).normal(size=(2, 3, 10))
         for m in members:
             m.forward(x, train=True)
@@ -309,8 +309,8 @@ class TestBatchConsistency:
         self._assert_rowwise(lstm, Rng(3).normal(size=(n, 3, 7)))
 
         inc = build_inception(InceptionConfig(in_channels=3, filters=2, bottleneck=2,
-                                              branch_kernels=(3, 5, 7), depth=3,
-                                              ensemble=1), seed=3)
+                                              branch_kernels=(3, 5, 7), depth=3),
+                                seed=3)
         inc.forward(Rng(4).normal(size=(8, 3, 10)), train=True)
         self._assert_rowwise(inc, Rng(5).normal(size=(n, 3, 10)))
 
@@ -359,8 +359,8 @@ class TestEndToEndGradients:
 
     def test_inception(self):
         model = build_inception(InceptionConfig(in_channels=2, filters=2, bottleneck=2,
-                                                branch_kernels=(3, 5), depth=3,
-                                                ensemble=1), seed=3)
+                                                branch_kernels=(3, 5), depth=3),
+                                seed=3)
         x = Rng(5).normal(size=(2, 2, 8))
         y = (Rng(6).uniform(size=(2, 2)) < 0.5).astype(float)
         self._check(model, x, lambda out: bce_with_logits(out, y))

@@ -122,17 +122,6 @@ class TestRandomSearch:
         best_oracle = max(range(len(trials)), key=lambda i: (oracle_scores[i], -i))
         assert best.index == best_oracle
 
-    def test_parallel_equals_serial(self):
-        train, valid = tiny_data()
-        space = SearchSpace({"filters0": [4, 8]})
-        serial, best_s = random_search(space, build_tiny_fcn, train, valid,
-                                       TINY_CFG, trials=4, seed=2, max_workers=1)
-        parallel, best_p = random_search(space, build_tiny_fcn, train, valid,
-                                         TINY_CFG, trials=4, seed=2, max_workers=3)
-        assert [t.f1_mean for t in serial] == [t.f1_mean for t in parallel]
-        assert [t.params for t in serial] == [t.params for t in parallel]
-        assert best_s.index == best_p.index
-
     def test_trials_must_be_positive(self):
         train, valid = tiny_data()
         with pytest.raises(ConfigError):
