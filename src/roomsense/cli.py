@@ -184,8 +184,18 @@ def _load_frame(path: str) -> SensorFrame:
     return parse_frame(Path(path).read_bytes())
 
 
-def _train_config(doc: dict, seed: int) -> TrainConfig:
-    return from_fields(TrainConfig, {"seed": seed, **doc}, "train config", complete=False)
+def _object(value, what: str) -> dict:
+    """A nested config object; JSON null reads as an empty one."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _train_config(doc, seed: int) -> TrainConfig:
+    return from_fields(TrainConfig, {"seed": seed, **_object(doc, "train config")},
+                       "train config", complete=False)
 
 
 def _write_history(outdir: Path, history) -> None:
@@ -315,7 +325,7 @@ def cmd_split(cfg: dict, outdir: Path) -> None:
 
 def _model_arch(cfg_model: dict, windows: WindowSet) -> dict:
     """The model's dataclass defaults, then what the windows give, then the user's keys."""
-    doc = dict(cfg_model) if isinstance(cfg_model, dict) else {}
+    doc = dict(_object(cfg_model, "model config"))
     kind = doc.pop("kind", None)
     if kind not in KINDS:
         raise ConfigError(f"model config needs a 'kind' ({'|'.join(KINDS)}), got {kind!r}")
@@ -355,7 +365,7 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
     train_s = transform(scaler, train_w)
     valid_s = transform(scaler, valid_w)
     kind = cfg["model_kind"]
-    base = {**(cfg["model"] or {}), "kind": kind}
+    base = {**_object(cfg["model"], "model config"), "kind": kind}
     blocks = len(base.get("kernels", FcnConfig.kernels))
     if cfg["space"] is not None:
         space = SearchSpace({k: list(v) for k, v in cfg["space"].items()})
@@ -388,7 +398,7 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
 def cmd_pretrain_ae(cfg: dict, outdir: Path) -> None:
     windows = WindowSet.load(str(_require(cfg, "windows")))
     seed = int(cfg["seed"])
-    arch = _model_arch({**(cfg["model"] or {}), "kind": "autoencoder"}, windows)
+    arch = _model_arch({**_object(cfg["model"], "model config"), "kind": "autoencoder"}, windows)
     scaler = fit_scaler(cfg["scaler_kind"], windows)
     scaled = transform(scaler, windows)
     model = build_model(arch, seed=seed)
@@ -408,7 +418,8 @@ def cmd_train_head(cfg: dict, outdir: Path) -> None:
     train_w = WindowSet.load(str(_require(cfg, "train_windows")))
     valid_w = WindowSet.load(str(_require(cfg, "valid_windows")))
     seed = int(cfg["seed"])
-    head = from_fields(HeadConfig, {"classes": train_w.Y.shape[1], **(cfg["head"] or {})},
+    head = from_fields(HeadConfig, {"classes": train_w.Y.shape[1],
+                                    **_object(cfg["head"], "head config")},
                        "head config", complete=False)
     model = build_encoder_classifier(ckpt, head, seed=seed)
     tcfg = _train_config(cfg["train"], seed)

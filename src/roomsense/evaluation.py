@@ -221,39 +221,40 @@ def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: in
     return PredictionTrack(frame.timestamps, tuple(names), probs, decisions, threshold)
 
 
-def _runs(series: np.ndarray) -> list[list[int]]:
-    """Maximal runs as [value, start, length] triples."""
-    out: list[list[int]] = []
-    for i, v in enumerate(series):
-        if out and out[-1][0] == v:
-            out[-1][2] += 1
-        else:
-            out.append([int(v), i, 1])
-    return out
+def _runs(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs of ``series`` as (values, lengths)."""
+    if not series.size:
+        return series[:0], np.zeros(0, dtype=np.int64)
+    starts = np.concatenate(([0], np.flatnonzero(series[1:] != series[:-1]) + 1))
+    return series[starts], np.diff(starts, append=series.size)
 
 
 def _smooth_series(series: np.ndarray, width: int) -> np.ndarray:
-    """Rectify spikes left to right, restarting after every flip, to fixpoint.
+    """Rectify spikes in one left-to-right pass over the runs.
 
     Only 0/1 runs strictly shorter than ``width`` whose two flanking runs
     agree on a 0/1 value are flipped; edge runs and no-prediction markers are
-    never touched (markers break runs).
+    never touched (markers break runs). A flip merges the run and both flanks
+    into one run, which becomes the left flank of the next candidate. Runs
+    already passed stay final: a merged run is never flippable, because its
+    left part was not. This gives the fixpoint of flipping the leftmost
+    flippable run again and again, in time linear in the number of runs.
     """
-    d = series.copy()
-    changed = True
-    while changed:
-        changed = False
-        runs = _runs(d)
-        for idx in range(1, len(runs) - 1):
-            value, start, length = runs[idx]
-            left = runs[idx - 1][0]
-            right = runs[idx + 1][0]
-            if (value in (0, 1) and length < width
-                    and left == right and left in (0, 1)):
-                d[start:start + length] = left
-                changed = True
-                break
-    return d
+    values, lengths = (a.tolist() for a in _runs(series))
+    kept_values: list[int] = []
+    kept_lengths: list[int] = []
+    i = 0
+    while i < len(values):
+        value, length = values[i], lengths[i]
+        if (kept_values and i + 1 < len(values) and value in (0, 1) and length < width
+                and kept_values[-1] == values[i + 1] and values[i + 1] in (0, 1)):
+            kept_lengths[-1] += length + lengths[i + 1]
+            i += 2
+        else:
+            kept_values.append(value)
+            kept_lengths.append(length)
+            i += 1
+    return np.repeat(np.asarray(kept_values, dtype=series.dtype), kept_lengths)
 
 
 def smooth(track: PredictionTrack, width: int) -> PredictionTrack:

@@ -343,19 +343,10 @@ def missing_report(frame: SensorFrame) -> MissingReport:
     for c in range(len(frame.channel_names)):
         mask = np.isnan(frame.values[c])
         counts.append(int(mask.sum()))
-        runs = []
-        i = 0
-        n = mask.shape[0]
-        while i < n:
-            if mask[i]:
-                j = i
-                while j < n and mask[j]:
-                    j += 1
-                runs.append((i, j - i))
-                i = j
-            else:
-                i += 1
-        runs_all.append(tuple(runs))
+        edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+        starts = np.flatnonzero(edges == 1)
+        lengths = np.flatnonzero(edges == -1) - starts
+        runs_all.append(tuple(zip(starts.tolist(), lengths.tolist())))
     return MissingReport(
         channel_names=frame.channel_names,
         counts=tuple(counts),

@@ -2,13 +2,15 @@
 
 A model's arch dict is ``{"kind": kind, **fields}`` (``to_arch``), tuples
 written as lists. ``from_fields`` reads fields back as ``cls(**fields)`` behind
-a check that names any unknown or missing key; the CLI uses it for its head
-and training configs too.
+a check that names any unknown or missing key and any value whose JSON type
+does not fit the field's annotation; the CLI uses it for its head and training
+configs too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 from ..errors import ConfigError
 
@@ -18,6 +20,22 @@ HEAD_MODES = ("multi_label", "single_label")
 def _check_head_mode(mode: str) -> None:
     if mode not in HEAD_MODES:
         raise ConfigError(f"head_mode must be one of {HEAD_MODES}, got {mode!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON value checks per field annotation; bool is an int subclass, so it is
+# refused where a number is meant, and a float field also takes a JSON int
+_VALUE_CHECKS = {
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    tuple[int, ...]: ("a list of integers",
+                      lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+}
 
 
 def field_names(cls) -> list[str]:
@@ -38,7 +56,8 @@ def to_arch(config, kind: str) -> dict:
 
 
 def from_fields(cls, doc: dict, what: str, complete: bool = True):
-    """``cls(**doc)``; any key ``cls`` lacks, or (if ``complete``) any field ``doc`` lacks, raises."""
+    """``cls(**doc)``; an unknown key, a value of the wrong JSON type or (if
+    ``complete``) a missing field raises ConfigError naming the key."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
     names = field_names(cls)
@@ -48,6 +67,11 @@ def from_fields(cls, doc: dict, what: str, complete: bool = True):
     for name in names if complete else ():
         if name not in doc:
             raise ConfigError(f"{what} is missing key {name!r}")
+    hints = get_type_hints(cls)
+    for key, value in doc.items():
+        expected, check = _VALUE_CHECKS[hints[key]]
+        if not check(value):
+            raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
     return cls(**doc)
 
 

@@ -38,7 +38,8 @@ class _InceptionModule:
         b = self.bottleneck.forward(x)
         outs = [conv.forward(b) for conv in self.branches]
         outs.append(self.pool_conv.forward(self.pool.forward(x)))
-        cat = np.concatenate(outs, axis=1)
+        # joined along the memory (last) axis, so the result stays channels-last
+        cat = np.concatenate([o.transpose(0, 2, 1) for o in outs], axis=2).transpose(0, 2, 1)
         return self.act.forward(self.bn.forward(cat, train))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

@@ -4,6 +4,13 @@ Every layer caches what its backward pass needs on the instance, so a layer
 instance is exclusively owned during one forward/backward cycle. Gradients
 accumulate into the ParamStore buffers (the optimizer zeroes them).
 
+Shapes are logical (N, C, L) and inputs may have any strides. Conv1d,
+BatchNorm1d and MaxPool1dSame compute in channels-last (N, L, C) buffers and
+return transposed views of them; Relu keeps the layout it is given, and the
+GlobalAvgPool gradient is a broadcast view. A convolution is K GEMMs, one per
+tap, over one zero-padded (N * (L + K - 1), C) buffer; no im2col matrix is
+built.
+
 Conventions that the parameter accounting depends on: convolutions carry no
 bias (batch norm follows every convolution), batch norm contributes one gamma
 and one beta per channel (running statistics are non-trainable state), dense
@@ -68,33 +75,52 @@ class Conv1d:
         self.filters = filters
         self.kernel = kernel
         self.left_pad = (kernel - 1) // 2
-        self._xp: np.ndarray | None = None
+        self._flat: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, length = x.shape
         if c != self.in_channels:
             raise ShapeError(f"{self.w.name}: expected {self.in_channels} channels, got {c}")
-        k = self.kernel
-        xp = np.zeros((n, c, length + k - 1))
-        xp[:, :, self.left_pad:self.left_pad + length] = x
-        self._xp = xp
-        w = self.w.value
-        out = np.zeros((n, self.filters, length))
-        for j in range(k):
-            out += np.matmul(w[:, :, j], xp[:, :, j:j + length])
-        return out
+        k, lp = self.kernel, self.left_pad
+        padded = length + k - 1
+        xp = np.empty((n, padded, c))
+        xp[:, :lp] = 0.0
+        xp[:, lp + length:] = 0.0
+        xp[:, lp:lp + length] = x.transpose(0, 2, 1)
+        # Row r of tap j reads flat row r + j; rows past a sample's length mix
+        # two samples and are never read.
+        flat = xp.reshape(n * padded, c)
+        m = flat.shape[0] - (k - 1)
+        taps = self.w.value.transpose(2, 1, 0).copy()  # (K, C, F), one GEMM operand per tap
+        out = np.empty((n * padded, self.filters))
+        np.matmul(flat[:m], taps[0], out=out[:m])
+        tap = np.empty((m, self.filters))
+        for j in range(1, k):
+            out[:m] += np.matmul(flat[j:j + m], taps[j], out=tap)
+        self._flat = flat
+        return out.reshape(n, padded, self.filters)[:, :length].transpose(0, 2, 1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        xp = self._xp
+        flat = self._flat
         n, _, length = dout.shape
-        k = self.kernel
-        w = self.w.value
-        dxp = np.zeros_like(xp)
+        k, lp = self.kernel, self.left_pad
+        padded = length + k - 1
+        c = flat.shape[1]
+        d = np.empty((n, padded, self.filters))
+        d[:, length:] = 0.0  # the junk rows must add nothing
+        d[:, :length] = dout.transpose(0, 2, 1)
+        m = flat.shape[0] - (k - 1)
+        d = d.reshape(n * padded, self.filters)[:m]
+        taps = self.w.value.transpose(2, 0, 1).copy()  # (K, F, C)
+        dflat = np.empty_like(flat)
+        dflat[m:] = 0.0
+        np.matmul(d, taps[0], out=dflat[:m])
+        tap = np.empty((m, c))
         for j in range(k):
-            self.w.grad[:, :, j] += np.tensordot(dout, xp[:, :, j:j + length],
-                                                 axes=([0, 2], [0, 2]))
-            dxp[:, :, j:j + length] += np.matmul(w[:, :, j].T, dout)
-        return dxp[:, :, self.left_pad:self.left_pad + (xp.shape[2] - k + 1)]
+            self.w.grad[:, :, j] += d.T @ flat[j:j + m]
+            if j:
+                dflat[j:j + m] += np.matmul(d, taps[j], out=tap)
+        return dflat.reshape(n, padded, c)[:, lp:lp + length].transpose(0, 2, 1)
 
 
 class BatchNorm1d:
@@ -120,11 +146,14 @@ class BatchNorm1d:
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        if x.shape[1] != self.gamma.value.shape[0]:
+        n, c, length = x.shape
+        if c != self.gamma.value.shape[0]:
             raise ShapeError(f"{self.gamma.name}: channel mismatch")
+        x2 = x.transpose(0, 2, 1).reshape(n * length, c)
         if train:
-            mean = x.mean(axis=(0, 2))
-            var = x.var(axis=(0, 2))
+            mean = x2.mean(axis=0)
+            centered = x2 - mean
+            var = (centered * centered).mean(axis=0)  # what x2.var(axis=0) computes
             m = self.momentum
             self.running_mean.value[...] = (1 - m) * self.running_mean.value + m * mean
             self.running_var.value[...] = (1 - m) * self.running_var.value + m * var
@@ -135,23 +164,32 @@ class BatchNorm1d:
                     f"{self.gamma.name}: eval before any train-mode batch statistics")
             mean = self.running_mean.value
             var = self.running_var.value
+            centered = x2 - mean
         invstd = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean[None, :, None]) * invstd[None, :, None]
+        xhat = np.multiply(centered, invstd, out=centered)
         self._cache = (xhat, invstd, train)
-        return self.gamma.value[None, :, None] * xhat + self.beta.value[None, :, None]
+        out = xhat * self.gamma.value
+        out += self.beta.value
+        return out.reshape(n, length, c).transpose(0, 2, 1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         xhat, invstd, train = self._cache
-        self.gamma.grad += (dout * xhat).sum(axis=(0, 2))
-        self.beta.grad += dout.sum(axis=(0, 2))
-        dxhat = dout * self.gamma.value[None, :, None]
+        n, c, length = dout.shape
+        d2 = dout.transpose(0, 2, 1).reshape(n * length, c)
+        sum_d = d2.sum(axis=0)
+        sum_d_xhat = (d2 * xhat).sum(axis=0)
+        self.gamma.grad += sum_d_xhat
+        self.beta.grad += sum_d
+        scale = self.gamma.value * invstd
         if not train:
-            return dxhat * invstd[None, :, None]
-        n, _, length = dout.shape
+            return (d2 * scale).reshape(n, length, c).transpose(0, 2, 1)
+        # gamma * invstd / r * (r * d - sum(d) - xhat * sum(d * xhat))
         r = n * length
-        sum_dxhat = dxhat.sum(axis=(0, 2), keepdims=True)
-        sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-        return (invstd[None, :, None] / r) * (r * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        dx = d2 * r
+        dx -= sum_d
+        dx -= xhat * sum_d_xhat
+        dx *= scale / r
+        return dx.reshape(n, length, c).transpose(0, 2, 1)
 
 
 class Relu:
@@ -160,10 +198,10 @@ class Relu:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return relu(x)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, dout, 0.0)
+        return dout * self._mask
 
 
 class Sigmoid:
@@ -228,7 +266,8 @@ class GlobalAvgPool:
         return x.mean(axis=2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        return np.repeat(dout[:, :, None], self._length, axis=2) / self._length
+        n, c = dout.shape
+        return np.broadcast_to((dout / self._length)[:, :, None], (n, c, self._length))
 
 
 class Dense:
@@ -263,19 +302,20 @@ class MaxPool1dSame:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, length = x.shape
-        xp = np.full((n, c, length + 2), -np.inf)
-        xp[:, :, 1:1 + length] = x
-        stacked = np.stack([xp[:, :, j:j + length] for j in range(self.KERNEL)])
+        xp = np.full((n, length + 2, c), -np.inf)
+        xp[:, 1:1 + length] = x.transpose(0, 2, 1)
+        stacked = np.stack([xp[:, j:j + length] for j in range(self.KERNEL)])
         arg = stacked.argmax(axis=0)
         self._cache = (arg, length)
-        return np.take_along_axis(stacked, arg[None], axis=0)[0]
+        return np.take_along_axis(stacked, arg[None], axis=0)[0].transpose(0, 2, 1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         arg, length = self._cache
-        dxp = np.zeros((dout.shape[0], dout.shape[1], length + 2))
+        d = dout.transpose(0, 2, 1)
+        dxp = np.zeros((d.shape[0], length + 2, d.shape[2]))
         for j in range(self.KERNEL):
-            dxp[:, :, j:j + length] += dout * (arg == j)
-        return dxp[:, :, 1:1 + length]
+            dxp[:, j:j + length] += d * (arg == j)
+        return dxp[:, 1:1 + length].transpose(0, 2, 1)
 
 
 class _LstmDirection:

@@ -24,7 +24,8 @@ from roomsense.models import (
     model_arch,
     model_from_checkpoint,
 )
-from roomsense.models.config import to_arch
+from roomsense.models.config import from_fields, to_arch
+from roomsense.training import TrainConfig
 from roomsense.nn.checkpoint import architecture_fingerprint, load_checkpoint
 from roomsense.pipeline import WindowSet
 
@@ -158,6 +159,51 @@ def test_cli_unknown_key_exits_1_naming_it(windows, tiny_ae, tmp_path, capsys, s
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("cls,doc,ok", [
+    (LstmConfig, {"hidden": 4}, True),
+    (LstmConfig, {"hidden": True}, False),
+    (LstmConfig, {"hidden": 4.0}, False),
+    (LstmConfig, {"hidden": "4"}, False),
+    (LstmConfig, {"dropout": 0}, True),
+    (LstmConfig, {"dropout": 0.25}, True),
+    (LstmConfig, {"dropout": False}, False),
+    (LstmConfig, {"dropout": "0.1"}, False),
+    (LstmConfig, {"bidirectional": True}, True),
+    (LstmConfig, {"bidirectional": 1}, False),
+    (LstmConfig, {"head_mode": "single_label"}, True),
+    (LstmConfig, {"head_mode": ["single_label"]}, False),
+    (FcnConfig, {"filters": [4, 8], "kernels": [3, 3]}, True),
+    (FcnConfig, {"filters": [4, 8.0], "kernels": [3, 3]}, False),
+    (FcnConfig, {"filters": [4, True], "kernels": [3, 3]}, False),
+    (FcnConfig, {"filters": 4, "kernels": [3]}, False),
+    (TrainConfig, {"lr_max": 1, "shuffle": False}, True),
+    (TrainConfig, {"early_stopping": "false"}, False),
+])
+def test_from_fields_checks_value_types(cls, doc, ok):
+    base = {} if cls is TrainConfig else {"in_channels": 3}
+    if ok:
+        from_fields(cls, {**base, **doc}, "cfg", complete=False)
+    else:
+        with pytest.raises(ConfigError, match=repr(next(iter(doc)))):
+            from_fields(cls, {**base, **doc}, "cfg", complete=False)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda w, o: train_argv(w, o, {"kind": "lstm", "hidden": "4"}),
+    lambda w, o: train_argv(w, o, {"kind": "fcn", "filters": [4, "8"], "kernels": [3, 3]}),
+    lambda w, o: train_argv(w, o, {"kind": "lstm"}) + ["--set", "train=[1]"],
+    lambda w, o: train_argv(w, o, 3),
+    lambda w, o: ["pretrain-ae", "--set", f"windows={w}", "--set", "model=3", "--set", TRAIN,
+                  "--out", str(o)],
+    lambda w, o: ["pretrain-ae", "--set", f"windows={w}", "--set", 'model=["latent"]',
+                  "--set", TRAIN, "--out", str(o)],
+])
+def test_cli_wrong_typed_config_exits_1(windows, tmp_path, capsys, argv):
+    assert main(argv(windows, tmp_path)) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 @pytest.fixture(scope="module")
 def lstm_checkpoint(windows, tmp_path_factory):
     out = tmp_path_factory.mktemp("lstm")
@@ -198,3 +244,14 @@ def test_edited_arch_fails_fingerprint_recompute(lstm_checkpoint, windows, tmp_p
                  "--out", str(tmp_path / "eval")]) == 2
     assert "fingerprint" in capsys.readouterr().err
     assert not (tmp_path / "eval" / "metrics.json").exists()
+
+
+def test_eval_exits_2_on_manifest_without_seed(lstm_checkpoint, windows, tmp_path, capsys):
+    doc = manifest(lstm_checkpoint)
+    del doc["seed"]
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    (tmp_path / "model.bin").write_bytes((lstm_checkpoint / "model.bin").read_bytes())
+    assert main(["eval", "--set", f"checkpoint={tmp_path / 'model'}",
+                 "--set", f"scaler={lstm_checkpoint / 'scaler.json'}",
+                 "--set", f"windows={windows}", "--out", str(tmp_path / "eval")]) == 2
+    assert "'seed'" in capsys.readouterr().err

@@ -6,6 +6,7 @@ from roomsense.errors import ConfigError, DegenerateDataError
 from roomsense.evaluation import (
     NO_PREDICTION,
     PredictionTrack,
+    _smooth_series,
     evaluate,
     feature_matrix,
     predict_probabilities,
@@ -293,6 +294,35 @@ def smooth_oracle(series, width):
             return d
 
 
+def _restart_runs(series):
+    out = []
+    for i, v in enumerate(series):
+        if out and out[-1][0] == v:
+            out[-1][2] += 1
+        else:
+            out.append([int(v), i, 1])
+    return out
+
+
+def restart_smooth_series(series, width):
+    """The former quadratic ``_smooth_series``: flip the leftmost flippable run, rescan."""
+    d = series.copy()
+    changed = True
+    while changed:
+        changed = False
+        runs = _restart_runs(d)
+        for idx in range(1, len(runs) - 1):
+            value, start, length = runs[idx]
+            left = runs[idx - 1][0]
+            right = runs[idx + 1][0]
+            if (value in (0, 1) and length < width
+                    and left == right and left in (0, 1)):
+                d[start:start + length] = left
+                changed = True
+                break
+    return d
+
+
 class TestSmooth:
     def test_single_spike_removed(self):
         track = make_track([[0, 0, 1, 0, 0]])
@@ -349,3 +379,18 @@ class TestSmooth:
             for j in range(1, len(runs) - 1):
                 if runs[j - 1][0] == runs[j + 1][0]:
                     assert runs[j][1] >= w
+
+    def test_single_pass_matches_restarting_scan(self):
+        """10k random tracks: markers, edge runs, widths 1-6, runs of 1-8 rows."""
+        rng = Rng(2026)
+        for case in range(10_000):
+            n_runs = rng.integers(12)
+            values = rng.integers(3, size=(n_runs,)) - 1
+            if case % 2:
+                values = np.where(values < 0, rng.integers(2, size=(n_runs,)), values)
+            series = np.repeat(values, 1 + rng.integers(8, size=(n_runs,))).astype(np.int8)
+            width = 1 + case % 6
+            got = _smooth_series(series, width)
+            assert got.dtype == np.int8
+            assert got.tolist() == restart_smooth_series(series, width).tolist(), \
+                (series.tolist(), width)

@@ -92,6 +92,23 @@ class TestParseFrame:
         assert again.channel("a")[0] == 1.0
 
 
+def scan_missing_runs(mask):
+    """The former per-cell loop of ``missing_report``."""
+    runs = []
+    i = 0
+    n = mask.shape[0]
+    while i < n:
+        if mask[i]:
+            j = i
+            while j < n and mask[j]:
+                j += 1
+            runs.append((i, j - i))
+            i = j
+        else:
+            i += 1
+    return tuple(runs)
+
+
 class TestMissingReport:
     def test_no_missing(self):
         report = missing_report(toy_frame({"a": [1, 2], "b": [3, 4]}))
@@ -111,6 +128,22 @@ class TestMissingReport:
         report = missing_report(toy_frame({"a": series.tolist()}))
         assert report.counts[0] == int(mask.sum())
         assert sum(length for _, length in report.runs[0]) == int(mask.sum())
+
+    def test_runs_match_cell_scan(self):
+        rng = Rng(17)
+        for case in range(300):
+            n = 1 + rng.integers(40)
+            p = (0.0, 1.0, 0.1, 0.5, 0.9)[case % 5]  # 1.0: an all-missing channel
+            values = np.where(rng.uniform(size=(3, n)) < p, math.nan, 1.0)
+            values[1, :1 + rng.integers(n)] = math.nan   # leading run
+            values[2, n - 1 - rng.integers(n):] = math.nan  # trailing run
+            report = missing_report(toy_frame({c: values[i].tolist()
+                                               for i, c in enumerate("abc")}))
+            for i in range(3):
+                mask = np.isnan(values[i])
+                assert report.runs[i] == scan_missing_runs(mask)
+                assert report.counts[i] == int(mask.sum())
+                assert all(type(v) is int for run in report.runs[i] for v in run)
 
 
 class TestInterpolate:

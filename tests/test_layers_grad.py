@@ -150,6 +150,10 @@ class TestActivations:
     def test_relu_values(self):
         assert relu(np.array([-1.0, 0.0, 2.0])).tolist() == [0.0, 0.0, 2.0]
 
+    def test_relu_layer_propagates_nan(self):
+        out = Relu().forward(np.array([[-1.0, np.nan, 2.0]]))
+        assert out[0, 0] == 0.0 and np.isnan(out[0, 1]) and out[0, 2] == 2.0
+
     def test_sigmoid_values(self):
         assert sigmoid(np.array([0.0]))[0] == 0.5
         assert sigmoid(np.array([800.0]))[0] == 1.0  # no overflow

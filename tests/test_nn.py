@@ -232,6 +232,30 @@ class TestCheckpoint:
         with pytest.raises(IntegrityError, match="blob_sha256"):
             load_checkpoint(tmp_path / "ck")
 
+    @pytest.mark.parametrize("edit,key", [
+        *((lambda d, k=k: d.pop(k), k) for k in
+          ("architecture", "fingerprint", "buffers", "blob_sha256", "seed", "step")),
+        *((lambda d, k=k: d["buffers"][1].pop(k), k) for k in ("name", "shape", "trainable")),
+        (lambda d: d.update(seed="5"), "seed"),
+        (lambda d: d.update(step=True), "step"),
+        (lambda d: d.update(step=1.5), "step"),
+        (lambda d: d.update(buffers={}), "buffers"),
+        (lambda d: d.update(architecture=[]), "architecture"),
+        (lambda d: d["buffers"][0].update(name=3), "name"),
+        (lambda d: d["buffers"][0].update(shape="3,2"), "shape"),
+        (lambda d: d["buffers"][0].update(shape=[3, -2]), "shape"),
+        (lambda d: d["buffers"][0].update(trainable=1), "trainable"),
+    ])
+    def test_missing_or_wrong_typed_manifest_key_is_integrity_error(self, tmp_path, edit, key):
+        import json
+        self.saved_blob(tmp_path)
+        path = tmp_path / "ck.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IntegrityError, match=key):
+            load_checkpoint(tmp_path / "ck")
+
     def test_fingerprint_is_canonical(self):
         a = architecture_fingerprint({"kind": "fcn", "filters": [16, 32]})
         b = architecture_fingerprint({"filters": [16, 32], "kind": "fcn"})
