@@ -390,6 +390,8 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
         lines.append(f"{t.index},{t.f1_mean!r},"
                      + ",".join(str(t.params[k]) for k in sorted(space.grids)))
     _write(outdir, "trials.csv", "\n".join(lines) + "\n")
+    _write(outdir, "timing.csv", "\n".join(
+        ["trial,wall_seconds", *(f"{t.index},{t.wall_seconds!r}" for t in trials)]) + "\n")
     _write(outdir, "best.json",
            json.dumps(best.to_doc(), sort_keys=True, indent=2) + "\n")
     print(f"{len(trials)} trials; best f1={best.f1_mean:.4f} with {best.params}")

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError
-from .frames import SensorFrame
+from .errors import ConfigError, DegenerateDataError, IntegrityError
+from .frames import SensorFrame, csv_rows
 from .pipeline import (
     DEFAULT_MAX_GAP_S,
     ScalerParams,
@@ -18,6 +18,7 @@ from .pipeline import (
     label_offset,
     slide,
     split_on_gaps,
+    stride1_windows,
     transform,
 )
 
@@ -113,6 +114,22 @@ def evaluate(model, test: WindowSet, threshold: float = 0.5,
                    tuple(support), accuracy), confusions
 
 
+def _list_of(*types):
+    """Predicate: a list whose items are all of exactly one of ``types``
+    (so a JSON ``true`` is not an int)."""
+    allowed = set(types)
+    return lambda v: isinstance(v, list) and set(map(type, v)) <= allowed
+
+
+def _track_key(doc: dict, key: str, ok, what: str, where: str = ""):
+    """``doc[key]`` if present and ``ok``; IntegrityError naming the key otherwise."""
+    if key not in doc:
+        raise IntegrityError(f"track document has no key {where}{key!r}")
+    if not ok(doc[key]):
+        raise IntegrityError(f"track key {where}{key!r} must be {what}")
+    return doc[key]
+
+
 @dataclass
 class PredictionTrack:
     """Per-timestamp class probabilities and thresholded decisions.
@@ -153,27 +170,46 @@ class PredictionTrack:
 
     @staticmethod
     def from_json(text: str) -> "PredictionTrack":
+        """Read ``to_json`` output; IntegrityError names a key that is missing,
+        of the wrong type, or whose per-class list does not match ``timestamps``."""
         doc = json.loads(text)
-        names = tuple(doc["classes"])
-        probs = np.array([[math.nan if v is None else v for v in doc["probabilities"][n]]
-                          for n in names], dtype=np.float64)
-        decs = np.array([doc["decisions"][n] for n in names], dtype=np.int8)
-        return PredictionTrack(np.asarray(doc["timestamps"]), names, probs, decs,
-                               doc["threshold"])
+        if not isinstance(doc, dict):
+            raise IntegrityError("track document must be a JSON object")
+        threshold = _track_key(doc, "threshold", lambda v: type(v) in (int, float), "a number")
+        timestamps = _track_key(doc, "timestamps", _list_of(int), "a list of integers")
+        names = tuple(_track_key(doc, "classes", _list_of(str), "a list of strings"))
+        n = len(timestamps)
+        series = {}
+        for key, ok, what in (
+                ("probabilities", _list_of(float, int, type(None)), "numbers or null"),
+                ("decisions", lambda v: _list_of(int)(v) and set(v) <= {NO_PREDICTION, 0, 1},
+                 "-1, 0 or 1")):
+            per_class = _track_key(doc, key, lambda v: isinstance(v, dict), "an object")
+            for name in names:
+                values = _track_key(per_class, name, ok, f"a list of {what}",
+                                    where=f"{key}.")
+                if len(values) != n:
+                    raise IntegrityError(f"track key {key}.{name!r} has {len(values)} "
+                                         f"entries, 'timestamps' has {n}")
+            series[key] = [per_class[name] for name in names]
+        probs = np.array([[math.nan if v is None else v for v in row]
+                          for row in series["probabilities"]], dtype=np.float64)
+        decs = np.array(series["decisions"], dtype=np.int8)
+        try:
+            timestamps = np.asarray(timestamps, dtype=np.int64)
+        except OverflowError:
+            raise IntegrityError("track key 'timestamps' must fit in 64 bits") from None
+        return PredictionTrack(timestamps, names,
+                               probs.reshape(len(names), n), decs.reshape(len(names), n),
+                               threshold)
 
     def to_csv(self) -> str:
         header = ["timestamp"]
-        for name in self.class_names:
+        columns = [self.timestamps]
+        for k, name in enumerate(self.class_names):
             header += [f"prob_{name}", f"decision_{name}"]
-        lines = [",".join(header)]
-        for i in range(len(self)):
-            row = [str(int(self.timestamps[i]))]
-            for k in range(len(self.class_names)):
-                p = self.probabilities[k, i]
-                row.append("" if math.isnan(p) else repr(float(p)))
-                row.append(str(int(self.decisions[k, i])))
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+            columns += [self.probabilities[k], self.decisions[k]]
+        return ",".join(header) + "\n" + csv_rows(columns)
 
 
 def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: int,
@@ -206,18 +242,20 @@ def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: in
                       "empty track")
         return PredictionTrack(frame.timestamps, tuple(names), probs, decisions, threshold)
     offset = label_offset(length, position)
+    windows = stride1_windows(scaled.values, length)
     # bad[i] counts non-finite rows before row i, so a window's count is a difference
     bad = np.concatenate([[0], np.cumsum(~np.isfinite(scaled.values).all(axis=0))])
     for seg in split_on_gaps(scaled, max_gap_s):
         starts = np.asarray(slide(seg, length, stride=1), dtype=np.int64)
         starts = starts[bad[starts + length] == bad[starts]]
-        if not starts.size:
-            continue
-        X = np.stack([scaled.values[:, s:s + length] for s in starts])
-        p = predict_probabilities(model, X, batch_size)
-        anchor = starts + offset
-        probs[:, anchor] = p.T
-        decisions[:, anchor] = (p.T >= threshold).astype(np.int8)
+        # one predict_probabilities batch per chunk, so only one chunk of
+        # windows is ever copied out of the view
+        for lo in range(0, starts.size, batch_size):
+            chunk = starts[lo:lo + batch_size]
+            p = predict_probabilities(model, windows[chunk], batch_size)
+            anchor = chunk + offset
+            probs[:, anchor] = p.T
+            decisions[:, anchor] = (p.T >= threshold).astype(np.int8)
     return PredictionTrack(frame.timestamps, tuple(names), probs, decisions, threshold)
 
 

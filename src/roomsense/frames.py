@@ -38,6 +38,8 @@ STANDARD_CHANNELS: tuple[str, ...] = (
 STANDARD_LABELS: tuple[str, ...] = ("person", "window_open")
 
 NOMINAL_PERIOD_S = 120
+# CSV writers format this many rows per block, so peak memory stays flat
+CSV_BLOCK_ROWS = 1024
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -320,19 +322,36 @@ def parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
     )
 
 
+def _cells(column: np.ndarray) -> list[str]:
+    """CSV cells of one column: ``str`` of each integer, ``repr`` of each
+    float with NaN as the empty cell."""
+    if column.dtype.kind != "f":
+        return list(map(str, column.tolist()))
+    cells = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        cells[i] = ""
+    return cells
+
+
+def csv_rows(columns: list[np.ndarray]) -> str:
+    """Comma-joined data rows of equal-length 1-D columns, each ending in a newline.
+
+    Rows are formatted column by column, ``CSV_BLOCK_ROWS`` at a time.
+    """
+    n = len(columns[0])
+    blocks = []
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        cells = [_cells(c[lo:lo + CSV_BLOCK_ROWS]) for c in columns]
+        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(blocks)
+
+
 def frame_to_csv(frame: SensorFrame) -> bytes:
     """Serialize a frame back to the CSV contract (round-trips exactly)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["timestamp", *frame.channel_names, *frame.label_names])
-    for i in range(len(frame)):
-        row: list[str] = [str(int(frame.timestamps[i]))]
-        for c in range(len(frame.channel_names)):
-            v = frame.values[c, i]
-            row.append("" if math.isnan(v) else repr(float(v)))
-        for k in range(len(frame.label_names)):
-            row.append(str(int(frame.label_values[k, i])))
-        writer.writerow(row)
+    csv.writer(buf, lineterminator="\n").writerow(
+        ["timestamp", *frame.channel_names, *frame.label_names])
+    buf.write(csv_rows([frame.timestamps, *frame.values, *frame.label_values]))
     return buf.getvalue().encode("utf-8")
 
 

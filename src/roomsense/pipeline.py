@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DegenerateDataError, IntegrityError, SchemaError, SplitError
 from .frames import SensorFrame
@@ -161,12 +162,11 @@ def undersample(labels: np.ndarray, k: int) -> list[Segment]:
         return []
     starts = np.maximum(marked - k, 0)
     ends = np.minimum(marked + k + 1, n)
-    merged: list[list[int]] = []
-    for s, e in zip(starts, ends):
-        if merged and s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], int(e))
-        else:
-            merged.append([int(s), int(e)])
+    # both bounds grow with the marked index, so an interval joins the one
+    # before it exactly when it starts at or before that one's end
+    first = np.flatnonzero(np.concatenate(([True], starts[1:] > ends[:-1])))
+    last = np.append(first[1:] - 1, marked.size - 1)
+    merged = zip(starts[first].tolist(), ends[last].tolist())
     return [Segment(s, e, reason="event-window") for s, e in merged]
 
 
@@ -195,20 +195,32 @@ def window_label(window_labels: np.ndarray, position: str = "first") -> np.ndarr
     """Reduce an (L, K) per-step binary label block to one (K,) label.
 
     'first' takes row 0, 'last' row L-1, 'mean' thresholds the per-class
-    arithmetic mean at >= 0.5.
+    arithmetic mean at >= 0.5. A stack of blocks (..., L, K) reduces to
+    (..., K) labels, one per block; a 1-D block is one class.
     """
     wl = np.asarray(window_labels, dtype=np.float64)
     if wl.ndim == 1:
         wl = wl[:, None]
     if position == "first":
-        out = wl[0]
+        out = wl[..., 0, :]
     elif position == "last":
-        out = wl[-1]
+        out = wl[..., -1, :]
     elif position == "mean":
-        out = (wl.mean(axis=0) >= 0.5).astype(np.float64)
+        out = (wl.mean(axis=-2) >= 0.5).astype(np.float64)
     else:
         raise ConfigError(f"label position must be first|mean|last, got {position!r}")
     return out.astype(np.float64)
+
+
+def stride1_windows(values: np.ndarray, length: int) -> np.ndarray:
+    """(N-L+1, C, L) read-only view of every stride-1 window of a (C, N) series.
+
+    Indexing the view with start indices copies just those windows; a series
+    shorter than ``length`` has none.
+    """
+    if values.shape[1] < length:
+        return np.empty((0, values.shape[0], length), dtype=values.dtype)
+    return sliding_window_view(values, length, axis=1).transpose(1, 0, 2)
 
 
 def label_offset(length: int, position: str) -> int:
@@ -245,18 +257,15 @@ def build_windows(frame: SensorFrame, channels: list[str] | tuple[str, ...],
     starts: list[int] = []
     for seg in segments:
         starts.extend(slide(seg, length, stride))
-    n = len(starts)
-    X = np.empty((n, len(channels), length), dtype=np.float64)
-    Y = np.empty((n, len(sel.label_names)), dtype=np.float64)
-    for i, s in enumerate(starts):
-        X[i] = sel.values[:, s:s + length]
-        Y[i] = window_label(label_mat[s:s + length], position)
     start_idx = np.asarray(starts, dtype=np.int64)
+    X = stride1_windows(sel.values, length)[start_idx]
+    # reducing the whole view labels every window without copying (n, L, K) blocks
+    Y = window_label(stride1_windows(label_mat.T, length).swapaxes(1, 2), position)[start_idx]
     return WindowSet(
         X=X, Y=Y,
         channel_names=tuple(channels),
         class_names=sel.label_names,
-        start_timestamps=sel.timestamps[start_idx] if n else np.zeros(0, dtype=np.int64),
+        start_timestamps=sel.timestamps[start_idx],
         label_position=position,
         start_indices=start_idx,
     )

@@ -137,14 +137,12 @@ def _window_schedule(cfg: ScenarioConfig, rng: Rng, person: np.ndarray) -> np.nd
     window = np.zeros(cfg.n_samples, dtype=np.int64)
     # airing during/after occupancy
     n = cfg.n_samples
-    starts = np.flatnonzero(np.diff(np.concatenate([[0], person > 0]).astype(int)) == 1)
-    for block_start in starts:
+    edges = np.diff(np.concatenate([[0], person > 0, [0]]).astype(int))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    for block_start, block_end in zip(starts.tolist(), ends.tolist()):
         if rng.uniform() >= cfg.window_open_prob:
             continue
-        block_len = 1
-        while block_start + block_len < n and person[block_start + block_len] > 0:
-            block_len += 1
-        offset = rng.integers(max(1, block_len))
+        offset = rng.integers(max(1, block_end - block_start))
         dur = _renewal_durations(rng, cfg.window_mean)
         s = block_start + offset
         window[s:s + dur] = 1
@@ -155,6 +153,67 @@ def _window_schedule(cfg: ScenarioConfig, rng: Rng, person: np.ndarray) -> np.nd
         window[t:t + dur] = 1
         t += dur + _renewal_durations(rng, cfg.idle_window_mean)
     return window
+
+
+def _dynamics(cfg: ScenarioConfig, amb: dict[str, float], person: np.ndarray,
+              window: np.ndarray, eps: dict[str, np.ndarray],
+              e_temp_drift: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The seven first-order recurrences, unclamped: co2, humidity_abs, tvoc,
+    co, o3, temperature drift and pressure.
+
+    Each step depends on the one before, so the loop runs on Python floats:
+    inputs are read and outputs written through memoryviews of the numpy
+    buffers, and every state lives in a local. Python floats round exactly
+    like float64, and each update keeps the operations and order of the
+    model's equation (no product is hoisted out of the loop), so the series
+    are bit-identical to the same updates on numpy scalars.
+    """
+    n = cfg.n_samples
+    outs = tuple(np.empty(n) for _ in range(7))
+    co2_out, hum_out, tvoc_out, co_out, o3_out, drift_out, press_out = map(memoryview, outs)
+    person_at, window_at = memoryview(person), memoryview(window)
+    e_co2, e_hum, e_tvoc, e_co, e_o3, e_press = (
+        memoryview(eps[name]) for name in ("co2", "humidity_abs", "tvoc", "co", "o3", "pressure"))
+    e_drift = memoryview(e_temp_drift)
+
+    amb_co2, amb_hum, amb_tvoc, amb_co, amb_o3, amb_press = (
+        float(amb[name]) for name in ("co2", "humidity_abs", "tvoc", "co", "o3", "pressure"))
+    co2_em, hum_em, tvoc_em, co_em = (float(v) for v in (
+        cfg.co2_emission, cfg.hum_emission, cfg.tvoc_emission, cfg.co_emission))
+    co2_open, co2_closed = float(cfg.co2_decay_open), float(cfg.co2_decay_closed)
+    hum_open, hum_closed = float(cfg.hum_decay_open), float(cfg.hum_decay_closed)
+    tvoc_open, tvoc_closed = float(cfg.tvoc_decay_open), float(cfg.tvoc_decay_closed)
+    co_open, co_closed = float(cfg.co_decay_open), float(cfg.co_decay_closed)
+    o3_open, o3_closed = float(cfg.o3_rate_open), float(cfg.o3_rate_closed)
+    hum_outdoor, o3_outdoor = float(cfg.hum_abs_outdoor), float(cfg.o3_outdoor)
+
+    x_co2, x_hum, x_tvoc, x_co, x_o3 = amb_co2, amb_hum, amb_tvoc, amb_co, amb_o3
+    x_drift, x_press = 0.0, amb_press
+    co2_out[0], hum_out[0], tvoc_out[0], co_out[0] = x_co2, x_hum, x_tvoc, x_co
+    o3_out[0], drift_out[0], press_out[0] = x_o3, x_drift, x_press
+    for t in range(1, n):
+        p = person_at[t - 1]
+        if window_at[t - 1] > 0:
+            d_co2, d_hum, d_tvoc, d_co, o3_rate = co2_open, hum_open, tvoc_open, co_open, o3_open
+            hum_target, o3_target = hum_outdoor, o3_outdoor
+        else:
+            d_co2, d_hum, d_tvoc, d_co = co2_closed, hum_closed, tvoc_closed, co_closed
+            o3_rate, hum_target, o3_target = o3_closed, amb_hum, amb_o3
+        x_co2 = x_co2 + co2_em * p - d_co2 * (x_co2 - amb_co2) + e_co2[t]
+        x_hum = x_hum + hum_em * p - d_hum * (x_hum - hum_target) + e_hum[t]
+        x_tvoc = x_tvoc + tvoc_em * p - d_tvoc * (x_tvoc - amb_tvoc) + e_tvoc[t]
+        x_co = x_co + co_em * p - d_co * (x_co - amb_co) + e_co[t]
+        x_o3 = x_o3 - o3_rate * (x_o3 - o3_target) + e_o3[t]
+        x_drift = x_drift - 0.005 * x_drift + e_drift[t]
+        x_press = x_press - 0.01 * (x_press - amb_press) + e_press[t]
+        co2_out[t] = x_co2
+        hum_out[t] = x_hum
+        tvoc_out[t] = x_tvoc
+        co_out[t] = x_co
+        o3_out[t] = x_o3
+        drift_out[t] = x_drift
+        press_out[t] = x_press
+    return outs
 
 
 def generate_frame(cfg: ScenarioConfig) -> SensorFrame:
@@ -169,38 +228,9 @@ def generate_frame(cfg: ScenarioConfig) -> SensorFrame:
            for name in STANDARD_CHANNELS}
 
     amb = {name: cfg.ambient_of(name) for name in STANDARD_CHANNELS}
-    co2 = np.full(n, amb["co2"])
-    hum = np.full(n, amb["humidity_abs"])
-    tvoc = np.full(n, amb["tvoc"])
-    co = np.full(n, amb["co"])
-    o3 = np.full(n, amb["o3"])
-    temp_drift = np.zeros(n)
-    pressure = np.full(n, amb["pressure"])
-    e_press = eps["pressure"]
     e_temp_drift = noise_rng.normal(0.0, 1.0, size=(n,)) * 0.02 * cfg.noise_scale
-
-    for t in range(1, n):
-        p = person[t - 1]
-        open_ = window[t - 1] > 0
-        d_co2 = cfg.co2_decay_open if open_ else cfg.co2_decay_closed
-        co2[t] = co2[t - 1] + cfg.co2_emission * p - d_co2 * (co2[t - 1] - amb["co2"]) \
-            + eps["co2"][t]
-        d_hum = cfg.hum_decay_open if open_ else cfg.hum_decay_closed
-        hum_target = cfg.hum_abs_outdoor if open_ else amb["humidity_abs"]
-        hum[t] = hum[t - 1] + cfg.hum_emission * p - d_hum * (hum[t - 1] - hum_target) \
-            + eps["humidity_abs"][t]
-        d_tvoc = cfg.tvoc_decay_open if open_ else cfg.tvoc_decay_closed
-        tvoc[t] = tvoc[t - 1] + cfg.tvoc_emission * p - d_tvoc * (tvoc[t - 1] - amb["tvoc"]) \
-            + eps["tvoc"][t]
-        d_co = cfg.co_decay_open if open_ else cfg.co_decay_closed
-        co[t] = co[t - 1] + cfg.co_emission * p - d_co * (co[t - 1] - amb["co"]) \
-            + eps["co"][t]
-        o3_rate = cfg.o3_rate_open if open_ else cfg.o3_rate_closed
-        o3_target = cfg.o3_outdoor if open_ else amb["o3"]
-        o3[t] = o3[t - 1] - o3_rate * (o3[t - 1] - o3_target) + eps["o3"][t]
-        temp_drift[t] = temp_drift[t - 1] - 0.005 * temp_drift[t - 1] + e_temp_drift[t]
-        pressure[t] = pressure[t - 1] - 0.01 * (pressure[t - 1] - amb["pressure"]) \
-            + e_press[t]
+    co2, hum, tvoc, co, o3, temp_drift, pressure = _dynamics(cfg, amb, person, window,
+                                                             eps, e_temp_drift)
 
     co2 = np.clip(co2, 380.0, 8000.0)
     hum = np.clip(hum, 1.0, 30.0)

@@ -53,7 +53,7 @@ class TrainConfig:
 
 @dataclass
 class History:
-    """Per-epoch training record; wall seconds are timing-only metadata."""
+    """Per-epoch training record; wall seconds go only to ``timing_csv``."""
 
     train_loss: list[float] = field(default_factory=list)
     valid_loss: list[float] = field(default_factory=list)
@@ -66,7 +66,7 @@ class History:
     def __len__(self) -> int:
         return len(self.train_loss)
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         doc = {
             "train_loss": self.train_loss,
             "valid_loss": self.valid_loss,
@@ -75,8 +75,6 @@ class History:
             "best_epoch": self.best_epoch,
             "stopped_early": self.stopped_early,
         }
-        if include_timing:
-            doc["wall_seconds"] = self.wall_seconds
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:

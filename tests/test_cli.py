@@ -185,6 +185,62 @@ class TestValidation:
                         "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.fixture
+    def track_doc(self, chain, tmp_path):
+        out = tmp_path / "predict"
+        assert run(["predict", "--set", f"checkpoint={chain}/train/model",
+                    "--set", f"scaler={chain}/train/scaler.json",
+                    "--set", f"in={chain}/clean/clean.csv", "--out", str(out)]) == 0
+        return json.loads((out / "track.json").read_text())
+
+    def smooth_doc(self, doc, tmp_path, capsys):
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(doc))
+        code = run(["smooth", "--set", f"track={path}", "--out", str(tmp_path / "o")])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["threshold", "timestamps", "classes",
+                                     "probabilities", "decisions"])
+    def test_track_missing_key_exit_2(self, track_doc, tmp_path, capsys, key):
+        del track_doc[key]
+        code, err = self.smooth_doc(track_doc, tmp_path, capsys)
+        assert code == 2
+        assert repr(key) in err
+        assert not (tmp_path / "o" / "track.json").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("threshold", "0.5"), ("threshold", True), ("timestamps", [1.5, 2.5]),
+        ("classes", "person"), ("probabilities", [0.1]), ("decisions", None),
+    ])
+    def test_track_wrong_type_exit_2(self, track_doc, tmp_path, capsys, key, value):
+        track_doc[key] = value
+        code, err = self.smooth_doc(track_doc, tmp_path, capsys)
+        assert code == 2
+        assert repr(key) in err
+
+    def test_track_timestamp_out_of_range_exit_2(self, track_doc, tmp_path, capsys):
+        track_doc["timestamps"][-1] = 2**70
+        code, err = self.smooth_doc(track_doc, tmp_path, capsys)
+        assert code == 2
+        assert "'timestamps'" in err and "64 bits" in err
+
+    @pytest.mark.parametrize("key,bad", [("probabilities", "0.3"), ("decisions", 2),
+                                         ("decisions", 0.0)])
+    def test_track_wrong_cell_type_exit_2(self, track_doc, tmp_path, capsys, key, bad):
+        name = track_doc["classes"][0]
+        track_doc[key][name][5] = bad
+        code, err = self.smooth_doc(track_doc, tmp_path, capsys)
+        assert code == 2
+        assert f"{key}.{name!r}" in err
+
+    @pytest.mark.parametrize("key", ["probabilities", "decisions"])
+    def test_track_short_class_list_exit_2(self, track_doc, tmp_path, capsys, key):
+        name = track_doc["classes"][-1]
+        track_doc[key][name] = track_doc[key][name][:-1]
+        code, err = self.smooth_doc(track_doc, tmp_path, capsys)
+        assert code == 2
+        assert f"{key}.{name!r}" in err and "'timestamps'" in err
+
     def test_env_outdir_override(self, chain, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("ROOMSENSE_OUTDIR", str(target))
@@ -222,6 +278,25 @@ class TestDeterminism:
         assert len(trials["trials"]) == 2
         assert trials["best"]["params"]["filters0"] in (4, 8)
         assert (out / "trials.csv").exists()
+        timing = (out / "timing.csv").read_text().splitlines()
+        assert timing[0] == "trial,wall_seconds"
+        assert [line.split(",")[0] for line in timing[1:]] == ["0", "1"]
+        assert all(float(line.split(",")[1]) > 0 for line in timing[1:])
+
+    def test_tune_trials_json_byte_identical_across_runs(self, chain, tmp_path):
+        docs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert run(["tune", "--set", f"train_windows={chain}/split/train",
+                        "--set", f"valid_windows={chain}/split/valid",
+                        "--set", "model_kind=lstm",
+                        "--set", 'space={"hidden":[3,5],"dropout":[0.1,0.3]}',
+                        "--set", "trials=2",
+                        "--set", 'train={"epochs":1,"early_stopping":false}',
+                        "--seed", "8", "--out", str(out)]) == 0
+            docs.append((out / "trials.json").read_bytes())
+        assert docs[0] == docs[1]
+        assert b"wall_seconds" not in docs[0]
 
     def test_semi_supervised_stages(self, chain, tmp_path):
         # fleet corpus -> pretrain-ae -> train-head -> eval

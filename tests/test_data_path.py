@@ -1,0 +1,501 @@
+"""The column-wise data path against its row-at-a-time references.
+
+Each reference below is the earlier per-element implementation, kept as an
+oracle: synthetic frames must stay bit-identical, CSV bytes byte-identical,
+and windows and tracks identical. The pinned SHA-256 digests were taken
+from the reference implementations, so the synthetic corpus and its
+artifacts cannot drift silently.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import io
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from roomsense.evaluation import (
+    NO_PREDICTION,
+    PredictionTrack,
+    predict_probabilities,
+    predict_timeline,
+)
+from roomsense.frames import (
+    CSV_BLOCK_ROWS,
+    STANDARD_CHANNELS,
+    STANDARD_LABELS,
+    SensorFrame,
+    binarize_person,
+    frame_to_csv,
+    interpolate_missing,
+    parse_frame,
+)
+from roomsense.models import LstmConfig, build_lstm_classifier
+from roomsense.pipeline import (
+    Segment,
+    build_windows,
+    fit_scaler,
+    label_offset,
+    slide,
+    split_on_gaps,
+    transform,
+    undersample,
+    window_label,
+)
+from roomsense.rng import Rng, derive_seed
+from roomsense.synth import (
+    ScenarioConfig,
+    _occupancy_schedule,
+    _renewal_durations,
+    bundled_scenario,
+    generate_fleet,
+    generate_frame,
+)
+
+NINE = ("humidity", "temperature", "tvoc", "oxygen", "co2", "co", "pressure", "o3", "sound")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# references: the row-at-a-time implementations
+# ---------------------------------------------------------------------------
+
+def reference_window_schedule(cfg: ScenarioConfig, rng: Rng, person: np.ndarray) -> np.ndarray:
+    window = np.zeros(cfg.n_samples, dtype=np.int64)
+    n = cfg.n_samples
+    starts = np.flatnonzero(np.diff(np.concatenate([[0], person > 0]).astype(int)) == 1)
+    for block_start in starts:
+        if rng.uniform() >= cfg.window_open_prob:
+            continue
+        block_len = 1
+        while block_start + block_len < n and person[block_start + block_len] > 0:
+            block_len += 1
+        offset = rng.integers(max(1, block_len))
+        dur = _renewal_durations(rng, cfg.window_mean)
+        s = block_start + offset
+        window[s:s + dur] = 1
+    t = _renewal_durations(rng, cfg.idle_window_mean)
+    while t < n:
+        dur = _renewal_durations(rng, cfg.window_mean)
+        window[t:t + dur] = 1
+        t += dur + _renewal_durations(rng, cfg.idle_window_mean)
+    return window
+
+
+def reference_generate_frame(cfg: ScenarioConfig) -> SensorFrame:
+    rng = Rng(cfg.seed)
+    n = cfg.n_samples
+    person = _occupancy_schedule(cfg, rng.spawn(1))
+    window = reference_window_schedule(cfg, rng.spawn(2), person)
+
+    noise_rng = rng.spawn(3)
+    eps = {name: noise_rng.normal(0.0, 1.0, size=(n,)) * cfg.noise_of(name)
+           for name in STANDARD_CHANNELS}
+
+    amb = {name: cfg.ambient_of(name) for name in STANDARD_CHANNELS}
+    co2 = np.full(n, amb["co2"])
+    hum = np.full(n, amb["humidity_abs"])
+    tvoc = np.full(n, amb["tvoc"])
+    co = np.full(n, amb["co"])
+    o3 = np.full(n, amb["o3"])
+    temp_drift = np.zeros(n)
+    pressure = np.full(n, amb["pressure"])
+    e_press = eps["pressure"]
+    e_temp_drift = noise_rng.normal(0.0, 1.0, size=(n,)) * 0.02 * cfg.noise_scale
+
+    for t in range(1, n):
+        p = person[t - 1]
+        open_ = window[t - 1] > 0
+        d_co2 = cfg.co2_decay_open if open_ else cfg.co2_decay_closed
+        co2[t] = co2[t - 1] + cfg.co2_emission * p - d_co2 * (co2[t - 1] - amb["co2"]) \
+            + eps["co2"][t]
+        d_hum = cfg.hum_decay_open if open_ else cfg.hum_decay_closed
+        hum_target = cfg.hum_abs_outdoor if open_ else amb["humidity_abs"]
+        hum[t] = hum[t - 1] + cfg.hum_emission * p - d_hum * (hum[t - 1] - hum_target) \
+            + eps["humidity_abs"][t]
+        d_tvoc = cfg.tvoc_decay_open if open_ else cfg.tvoc_decay_closed
+        tvoc[t] = tvoc[t - 1] + cfg.tvoc_emission * p - d_tvoc * (tvoc[t - 1] - amb["tvoc"]) \
+            + eps["tvoc"][t]
+        d_co = cfg.co_decay_open if open_ else cfg.co_decay_closed
+        co[t] = co[t - 1] + cfg.co_emission * p - d_co * (co[t - 1] - amb["co"]) \
+            + eps["co"][t]
+        o3_rate = cfg.o3_rate_open if open_ else cfg.o3_rate_closed
+        o3_target = cfg.o3_outdoor if open_ else amb["o3"]
+        o3[t] = o3[t - 1] - o3_rate * (o3[t - 1] - o3_target) + eps["o3"][t]
+        temp_drift[t] = temp_drift[t - 1] - 0.005 * temp_drift[t - 1] + e_temp_drift[t]
+        pressure[t] = pressure[t - 1] - 0.01 * (pressure[t - 1] - amb["pressure"]) \
+            + e_press[t]
+
+    co2 = np.clip(co2, 380.0, 8000.0)
+    hum = np.clip(hum, 1.0, 30.0)
+    tvoc = np.clip(tvoc, 0.0, 5000.0)
+    co = np.clip(co, 0.0, 50.0)
+    o3 = np.clip(o3, 0.0, 100.0)
+
+    occupied = person > 0
+    sound = np.where(occupied,
+                     cfg.sound_occupied + cfg.sound_per_person * (person - 1),
+                     amb["sound"]) + eps["sound"]
+    temperature = amb["temperature"] + cfg.temp_per_person * person + temp_drift \
+        + eps["temperature"]
+    oxygen = amb["oxygen"] - cfg.o2_coupling * (co2 - amb["co2"]) + eps["oxygen"]
+    humidity = amb["humidity"] + 5.5 * (hum - amb["humidity_abs"]) + eps["humidity"]
+    dewpt = amb["dewpt"] + 0.9 * (hum - amb["humidity_abs"]) + eps["dewpt"]
+    sound_max = sound + np.abs(eps["sound_max"])
+
+    series = {
+        "pressure": pressure, "temperature": temperature, "sound": sound,
+        "tvoc": tvoc, "oxygen": oxygen, "humidity": humidity,
+        "humidity_abs": hum, "co2": co2, "co": co,
+        "so2": amb["so2"] + eps["so2"], "no2": amb["no2"] + eps["no2"], "o3": o3,
+        "pm2_5": amb["pm2_5"] + eps["pm2_5"], "pm10": amb["pm10"] + eps["pm10"],
+        "pm1": amb["pm1"] + eps["pm1"], "sound_max": sound_max, "dewpt": dewpt,
+    }
+    values = np.stack([series[name] for name in STANDARD_CHANNELS])
+    timestamps = cfg.start_epoch + cfg.period_s * np.arange(n, dtype=np.int64)
+    labels = np.stack([person, window])
+
+    inject_rng = rng.spawn(4)
+    if cfg.missing_leading > 0:
+        c = inject_rng.integers(len(STANDARD_CHANNELS))
+        values[c, :cfg.missing_leading] = np.nan
+    for _ in range(cfg.missing_runs):
+        c = inject_rng.integers(len(STANDARD_CHANNELS))
+        run = max(1, int(round(-cfg.missing_run_mean
+                               * math.log(1.0 - inject_rng.uniform()))))
+        start = inject_rng.integers(max(1, n - run))
+        values[c, start:start + run] = np.nan
+    if cfg.gap_count > 0:
+        keep = np.ones(n, dtype=bool)
+        for _ in range(cfg.gap_count):
+            run = max(1, int(round(-cfg.gap_mean * math.log(1.0 - inject_rng.uniform()))))
+            start = 1 + inject_rng.integers(max(1, n - run - 1))
+            keep[start:start + run] = False
+        timestamps = timestamps[keep]
+        values = values[:, keep]
+        labels = labels[:, keep]
+
+    return SensorFrame(timestamps=timestamps, channel_names=STANDARD_CHANNELS,
+                       values=values, label_names=STANDARD_LABELS,
+                       label_values=labels, device_id=cfg.device_id)
+
+
+def reference_frame_to_csv(frame: SensorFrame) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["timestamp", *frame.channel_names, *frame.label_names])
+    for i in range(len(frame)):
+        row: list[str] = [str(int(frame.timestamps[i]))]
+        for c in range(len(frame.channel_names)):
+            v = frame.values[c, i]
+            row.append("" if math.isnan(v) else repr(float(v)))
+        for k in range(len(frame.label_names)):
+            row.append(str(int(frame.label_values[k, i])))
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+def reference_track_csv(track: PredictionTrack) -> str:
+    header = ["timestamp"]
+    for name in track.class_names:
+        header += [f"prob_{name}", f"decision_{name}"]
+    lines = [",".join(header)]
+    for i in range(len(track)):
+        row = [str(int(track.timestamps[i]))]
+        for k in range(len(track.class_names)):
+            p = track.probabilities[k, i]
+            row.append("" if math.isnan(p) else repr(float(p)))
+            row.append(str(int(track.decisions[k, i])))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_window_label(window_labels, position="first"):
+    wl = np.asarray(window_labels, dtype=np.float64)
+    if wl.ndim == 1:
+        wl = wl[:, None]
+    if position == "first":
+        out = wl[0]
+    elif position == "last":
+        out = wl[-1]
+    else:
+        out = (wl.mean(axis=0) >= 0.5).astype(np.float64)
+    return out.astype(np.float64)
+
+
+def reference_build_windows(frame, channels, length, stride=1, position="first",
+                            undersample_k=None, max_gap_s=360):
+    sel = frame.select_channels(channels)
+    segments = split_on_gaps(sel, max_gap_s)
+    label_mat = sel.label_matrix()
+    if undersample_k is not None:
+        refined = []
+        for seg in segments:
+            for sub in undersample(label_mat[seg.start:seg.end], undersample_k):
+                refined.append(Segment(seg.start + sub.start, seg.start + sub.end,
+                                       reason="event-window", frame=sel))
+        segments = refined
+    starts = []
+    for seg in segments:
+        starts.extend(slide(seg, length, stride))
+    n = len(starts)
+    X = np.empty((n, len(channels), length), dtype=np.float64)
+    Y = np.empty((n, len(sel.label_names)), dtype=np.float64)
+    for i, s in enumerate(starts):
+        X[i] = sel.values[:, s:s + length]
+        Y[i] = reference_window_label(label_mat[s:s + length], position)
+    return X, Y, np.asarray(starts, dtype=np.int64)
+
+
+def reference_predict_timeline(model, frame, scaler, length, position="first",
+                               threshold=0.5, max_gap_s=360, batch_size=512):
+    sel = frame.select_channels(scaler.channel_names)
+    scaled = transform(scaler, sel)
+    names = frame.label_names
+    n = len(frame)
+    probs = np.full((len(names), n), np.nan)
+    decisions = np.full((len(names), n), NO_PREDICTION, dtype=np.int8)
+    offset = label_offset(length, position)
+    bad = np.concatenate([[0], np.cumsum(~np.isfinite(scaled.values).all(axis=0))])
+    for seg in split_on_gaps(scaled, max_gap_s):
+        starts = np.asarray(slide(seg, length, stride=1), dtype=np.int64)
+        starts = starts[bad[starts + length] == bad[starts]]
+        if not starts.size:
+            continue
+        X = np.stack([scaled.values[:, s:s + length] for s in starts])
+        p = predict_probabilities(model, X, batch_size)
+        anchor = starts + offset
+        probs[:, anchor] = p.T
+        decisions[:, anchor] = (p.T >= threshold).astype(np.int8)
+    return PredictionTrack(frame.timestamps, names, probs, decisions, threshold)
+
+
+# ---------------------------------------------------------------------------
+# pinned digests
+# ---------------------------------------------------------------------------
+
+def damaged_frame() -> SensorFrame:
+    return generate_frame(ScenarioConfig(n_samples=3000, seed=11, missing_runs=25,
+                                         missing_leading=6, gap_count=4))
+
+
+class TestPinnedDigests:
+    def test_bundled_frame_csv(self):
+        assert sha256(frame_to_csv(generate_frame(bundled_scenario()))) == \
+            "3df163ddcb86cd178382e69a169e3a43bcc31399d2da26b112dd139ea37b3e94"
+
+    def test_fleet_device_csv(self):
+        device = generate_fleet(ScenarioConfig(n_samples=2000, seed=70), devices=2)[1]
+        assert sha256(frame_to_csv(device)) == \
+            "a6d39d8d7eda20810fbeff4cf59157d04a8ba6153547ba61b103509059e30112"
+
+    def test_missing_and_gap_scenario_csv(self):
+        assert sha256(frame_to_csv(damaged_frame())) == \
+            "f2ab48b945af438c07efe3ebb7fd1db87626cd20b19065e4481d82e95e837b0e"
+
+    @pytest.mark.parametrize("position,y_digest", [
+        ("first", "7c4960c108492e52c5dc8b55dfd41b4b0543bfbfc572b71f02f7c64434ffaf3e"),
+        ("mean", "04d91fbff5ed2b8f47dd5ef1a2904006df3ab9529fd09c10613b535f1581763e"),
+        ("last", "a2fa7381c13d093f5f5c976ec8a0900c7ef3b96363f624bbb5c764b6dbe685a0"),
+    ])
+    def test_window_bytes(self, position, y_digest):
+        ws = build_windows(binarize_person(damaged_frame()), NINE, length=7,
+                           position=position)
+        assert sha256(ws.X.tobytes()) == \
+            "f787a807800c5b3ee35c352192e1b033224df81cf9b73022d52cda1970fa062d"
+        assert sha256(ws.Y.tobytes()) == y_digest
+        assert sha256(ws.start_indices.tobytes()) == \
+            "c06a1934e4cb3c72ddd687b0f97f8ce782f4933566b42e8d61c894aa97cdf49e"
+
+    def test_track_csv_with_nan_negative_zero_and_subnormal(self):
+        probs = np.array([[np.nan, -0.0, 5e-324, 0.5, 1.0, 0.1 + 0.2],
+                          [0.25, np.nan, np.nan, 1e-300, 0.0, 0.999999999999]])
+        decs = np.array([[-1, 0, 0, 1, 1, 0], [0, -1, -1, 0, 0, 1]], dtype=np.int8)
+        track = PredictionTrack(1_700_000_000 + 120 * np.arange(6),
+                                ("person", "window_open"), probs, decs, 0.5)
+        assert sha256(track.to_csv().encode("utf-8")) == \
+            "4e984bf5e09fc02c12be85645bc953408f9177a1279d1d8d60679e71a59742e0"
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+def random_scenario(seed: int) -> ScenarioConfig:
+    rng = np.random.default_rng(seed)
+    u = lambda lo, hi: float(rng.uniform(lo, hi))
+    return ScenarioConfig(
+        n_samples=int(rng.integers(1, 700)), seed=int(rng.integers(0, 2**31)),
+        occupancy_mean=u(2, 80), vacancy_mean=u(2, 300), max_people=int(rng.integers(1, 6)),
+        window_open_prob=u(0, 1), window_mean=u(1, 60), idle_window_mean=u(5, 500),
+        co2_emission=int(rng.integers(0, 40)) if rng.random() < 0.3 else u(0, 40),
+        co2_decay_closed=u(0.001, 0.5), co2_decay_open=u(0.05, 0.99),
+        hum_emission=u(0, 0.2), hum_decay_closed=u(0.001, 0.5), hum_decay_open=u(0.05, 0.99),
+        hum_abs_outdoor=u(1, 12), tvoc_emission=u(0, 20), tvoc_decay_closed=u(0.001, 0.5),
+        tvoc_decay_open=u(0.05, 0.99), co_emission=u(0, 0.05), co_decay_closed=u(0.001, 0.5),
+        co_decay_open=u(0.05, 0.99), o3_rate_closed=u(0.001, 0.5), o3_rate_open=u(0.05, 0.99),
+        o3_outdoor=u(5, 60), noise_scale=u(0, 3) if rng.random() < 0.8 else 0.0,
+        noise_std={"co2": u(0, 20)} if rng.random() < 0.5 else {},
+        ambient={"co2": u(380, 600), "o3": u(0, 20)} if rng.random() < 0.5 else {},
+        missing_runs=int(rng.integers(0, 6)), missing_leading=int(rng.integers(0, 4)),
+        gap_count=int(rng.integers(0, 3)), gap_mean=u(1, 30),
+    )
+
+
+def assert_frames_identical(a: SensorFrame, b: SensorFrame) -> None:
+    assert a.values.tobytes() == b.values.tobytes()
+    assert np.array_equal(a.timestamps, b.timestamps)
+    assert np.array_equal(a.label_values, b.label_values)
+    assert (a.channel_names, a.label_names, a.device_id) == \
+        (b.channel_names, b.label_names, b.device_id)
+
+
+class TestGenerateFrameOracle:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_scenarios_bit_identical(self, seed):
+        cfg = random_scenario(seed)
+        assert_frames_identical(generate_frame(cfg), reference_generate_frame(cfg))
+
+    def test_fleet_bit_identical(self):
+        cfg = ScenarioConfig(n_samples=600, seed=70)
+        for i, device in enumerate(generate_fleet(cfg, devices=3)):
+            dev_seed = derive_seed(cfg.seed, i + 1)
+            jit_rng = Rng(derive_seed(dev_seed, 0xA))
+            ambient = {name: cfg.ambient_of(name) * (1.0 + 0.02 * jit_rng.normal())
+                       for name in STANDARD_CHANNELS}
+            dev_cfg = replace(cfg, seed=dev_seed, device_id=f"synth-{i:03d}", ambient=ambient)
+            assert_frames_identical(device,
+                                    reference_generate_frame(dev_cfg).without_labels())
+
+    @pytest.mark.parametrize("n", [1, 2, 4097])
+    def test_zero_noise_and_tiny_frames_bit_identical(self, n):
+        for cfg in (ScenarioConfig(n_samples=n, seed=2024, noise_scale=0.0),
+                    ScenarioConfig(n_samples=n, seed=2024)):
+            assert_frames_identical(generate_frame(cfg), reference_generate_frame(cfg))
+
+    def test_integer_ambient_reads_as_float(self):
+        # the recurrences keep float state whatever the ambient's JSON type
+        as_int = generate_frame(ScenarioConfig(n_samples=300, seed=3, ambient={"co2": 420}))
+        as_float = generate_frame(ScenarioConfig(n_samples=300, seed=3,
+                                                 ambient={"co2": 420.0}))
+        assert_frames_identical(as_int, as_float)
+
+
+def frame_of(n: int, labels: bool = True, nan_channel: bool = False,
+             seed: int = 0) -> SensorFrame:
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0, 1e3, size=(4, n)) * rng.choice([1e-310, 1e-5, 1.0, 1e17], size=(4, n))
+    values[rng.random((4, n)) < 0.1] = np.nan
+    values[1, rng.random(n) < 0.05] = -0.0
+    if nan_channel:
+        values[2] = np.nan
+    label_values = rng.integers(0, 4, size=(2, n)) if labels else np.zeros((0, n))
+    return SensorFrame(timestamps=1_600_000_000 + 120 * np.arange(n, dtype=np.int64),
+                       channel_names=("a", "b", "c", "d"), values=values,
+                       label_names=("person", "window_open") if labels else (),
+                       label_values=label_values)
+
+
+class TestCsvWriterOracle:
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                   CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 7])
+    @pytest.mark.parametrize("labels,nan_channel", [(True, False), (False, False),
+                                                    (True, True)])
+    def test_frame_csv_bytes_identical(self, n, labels, nan_channel):
+        frame = frame_of(n, labels, nan_channel, seed=n)
+        out = frame_to_csv(frame)
+        assert out == reference_frame_to_csv(frame)
+        if n:
+            again = parse_frame(out)
+            assert again.values.tobytes() == frame.values.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                   CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("classes", [(), ("person",), ("person", "window_open")])
+    def test_track_csv_identical(self, n, classes):
+        rng = np.random.default_rng(n + len(classes))
+        probs = rng.random((len(classes), n))
+        probs[rng.random(probs.shape) < 0.2] = np.nan
+        if classes:
+            probs[-1] = np.nan  # one class with no prediction anywhere
+        decs = np.where(np.isnan(probs), NO_PREDICTION, probs >= 0.5).astype(np.int8)
+        track = PredictionTrack(np.arange(n) * 120, classes, probs, decs, 0.5)
+        assert track.to_csv() == reference_track_csv(track)
+
+    def test_odd_header_names_still_quoted(self):
+        frame = SensorFrame(timestamps=[1, 2], channel_names=("a,b", 'q"x'),
+                            values=[[1.0, np.nan], [np.inf, -np.inf]])
+        assert frame_to_csv(frame) == reference_frame_to_csv(frame)
+
+
+class TestBuildWindowsOracle:
+    @pytest.mark.parametrize("position", ["first", "mean", "last"])
+    @pytest.mark.parametrize("undersample_k", [None, 0, 5, 40])
+    @pytest.mark.parametrize("length,stride", [(7, 1), (1, 1), (10, 3)])
+    def test_identical_to_per_window_loop(self, position, undersample_k, length, stride):
+        frame = binarize_person(damaged_frame())
+        ws = build_windows(frame, NINE, length, stride, position, undersample_k)
+        X, Y, starts = reference_build_windows(frame, NINE, length, stride, position,
+                                               undersample_k)
+        assert ws.X.tobytes() == X.tobytes() and ws.X.shape == X.shape
+        assert ws.Y.tobytes() == Y.tobytes() and ws.Y.shape == Y.shape
+        assert np.array_equal(ws.start_indices, starts)
+
+    def test_unlabelled_and_too_short_frames(self):
+        frame = generate_frame(ScenarioConfig(n_samples=50, seed=4)).without_labels()
+        for length in (7, 50, 51):
+            ws = build_windows(frame, NINE, length)
+            X, Y, starts = reference_build_windows(frame, NINE, length)
+            assert ws.X.shape == X.shape and ws.Y.shape == Y.shape == (len(starts), 0)
+            assert ws.X.tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("position", ["first", "mean", "last"])
+    def test_stacked_window_label_matches_one_block_at_a_time(self, position):
+        blocks = (np.random.default_rng(1).random((30, 6, 3)) < 0.5).astype(np.float64)
+        stacked = window_label(blocks, position)
+        assert stacked.shape == (30, 3)
+        for i in range(30):
+            assert np.array_equal(stacked[i], reference_window_label(blocks[i], position))
+            assert np.array_equal(stacked[i], window_label(blocks[i], position))
+
+
+class BatchRecorder:
+    """Wraps a model and records every batch its predict_proba sees."""
+
+    def __init__(self, model):
+        self.model = model
+        self.config = model.config
+        self.batches = []
+
+    def predict_proba(self, x):
+        self.batches.append(x.copy())
+        return self.model.predict_proba(x)
+
+
+class TestPredictTimelineOracle:
+    @pytest.mark.parametrize("batch_size", [512, 37])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_track_json_identical_on_raw_csv(self, tmp_path, batch_size, position):
+        raw = generate_frame(ScenarioConfig(n_samples=1500, seed=21, missing_runs=30,
+                                            missing_leading=3, gap_count=4))
+        frame = binarize_person(parse_frame(frame_to_csv(raw)))
+        assert np.isnan(frame.values).any() and (np.diff(frame.timestamps) > 360).any()
+        channels = ("co2", "oxygen", "sound", "o3")
+        scaler = fit_scaler("standard", interpolate_missing(frame).select_channels(channels))
+        model = build_lstm_classifier(LstmConfig(in_channels=4, hidden=5), seed=3)
+        new, old = BatchRecorder(model), BatchRecorder(model)
+        track = predict_timeline(new, frame, scaler, 7, position, batch_size=batch_size)
+        expected = reference_predict_timeline(old, frame, scaler, 7, position,
+                                              batch_size=batch_size)
+        assert track.to_json() == expected.to_json()
+        assert track.to_csv() == expected.to_csv()
+        assert len(new.batches) == len(old.batches) > 1
+        for a, b in zip(new.batches, old.batches):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -157,7 +157,6 @@ class TestHistory:
         history = History(train_loss=[1.0], valid_loss=[0.9], valid_accuracy=[0.5],
                           learning_rate=[1e-3], wall_seconds=[0.1], best_epoch=1)
         assert "wall_seconds" not in history.to_json()
-        assert "wall_seconds" in history.to_json(include_timing=True)
         assert "wall_seconds" in history.timing_csv().splitlines()[0]
 
     def test_cosine_schedule_recorded(self):
