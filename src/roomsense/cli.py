@@ -4,11 +4,11 @@ Every command reads an optional JSON config (``--config``), applies ``--set
 key=value`` overrides (values parsed as JSON, falling back to strings),
 validates against its documented key set (unknown keys are rejected), writes
 the resolved config next to its outputs, and emits machine-readable JSON/CSV
-artifacts plus a short human-readable summary on stdout. The nested ``model``,
-``head`` and ``train`` objects are checked against the fields of their config
-dataclasses (``roomsense.models.config``, ``TrainConfig``), which also supply
-every default; the CLI fills in only what it derives from the windows
-(``in_channels``, ``classes``, ``window``).
+artifacts plus a short human-readable summary on stdout. The nested objects
+(``model``, ``head``, ``train``, ``scenario``, ``space``) are checked by
+``roomsense.schema.read`` against the fields of their config dataclasses, which
+also supply every default; the CLI fills in only what it derives from the
+windows (``in_channels``, ``classes``, ``window``).
 
 Exit codes: 0 success, 1 config/validation error, 2 runtime or data error,
 3 training divergence.
@@ -58,7 +58,7 @@ from .models import (
     param_count,
     save_model,
 )
-from .models.config import field_names, from_fields, to_arch
+from .models.config import field_names, to_arch
 from .nn.checkpoint import load_checkpoint
 from .pca import pca_fit, pca_project, projection_csv
 from .pipeline import (
@@ -78,6 +78,7 @@ from .search import (
     random_search,
     trials_to_json,
 )
+from .schema import read
 from .synth import ScenarioConfig, bundled_scenario, generate_fleet, generate_frame
 from .training import TrainConfig, train_autoencoder, train_classifier
 
@@ -140,7 +141,7 @@ def resolve_config(command: str, config_path: str | None, overrides: list[str],
             raise ConfigError(f"config file not found: {config_path}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}") from None
-        for key, value in loaded.items():
+        for key, value in read(dict, loaded, "config file").items():
             if key == "_meta":
                 continue  # resolved configs carry their metadata block along
             if key not in known:
@@ -184,18 +185,11 @@ def _load_frame(path: str) -> SensorFrame:
     return parse_frame(Path(path).read_bytes())
 
 
-def _object(value, what: str) -> dict:
-    """A nested config object; JSON null reads as an empty one."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
-def _train_config(doc, seed: int) -> TrainConfig:
-    return from_fields(TrainConfig, {"seed": seed, **_object(doc, "train config")},
-                       "train config", complete=False)
+def _config(cls, doc, what: str, **derived):
+    """``cls`` from a nested config object over the values the CLI derives."""
+    names = field_names(cls)
+    return read(cls, {**{k: v for k, v in derived.items() if k in names},
+                      **read(dict, doc, what)}, what)
 
 
 def _write_history(outdir: Path, history) -> None:
@@ -225,12 +219,8 @@ def _confusion_csv(confusions) -> str:
 
 def cmd_synth(cfg: dict, outdir: Path) -> None:
     scenario = cfg["scenario"]
-    if scenario == "bundled":
-        sc = bundled_scenario()
-    elif isinstance(scenario, dict):
-        sc = ScenarioConfig(**scenario)
-    else:
-        raise ConfigError("scenario must be 'bundled' or a scenario object")
+    sc = (bundled_scenario() if scenario == "bundled"
+          else read(ScenarioConfig, scenario, "scenario"))
     if cfg.get("seed") is not None:
         sc = replace(sc, seed=int(cfg["seed"]))
     _write(outdir, "scenario.json", sc.to_json())
@@ -325,16 +315,12 @@ def cmd_split(cfg: dict, outdir: Path) -> None:
 
 def _model_arch(cfg_model: dict, windows: WindowSet) -> dict:
     """The model's dataclass defaults, then what the windows give, then the user's keys."""
-    doc = dict(_object(cfg_model, "model config"))
+    doc = dict(read(dict, cfg_model, "model config"))
     kind = doc.pop("kind", None)
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(f"model config needs a 'kind' ({'|'.join(KINDS)}), got {kind!r}")
-    config_cls = KINDS[kind][0]
-    derived = {"in_channels": len(windows.channel_names), "classes": windows.Y.shape[1],
-               "window": windows.length}
-    names = field_names(config_cls)
-    config = from_fields(config_cls, {**{k: v for k, v in derived.items() if k in names}, **doc},
-                         "model config", complete=False)
+    config = _config(KINDS[kind][0], doc, "model config", in_channels=len(windows.channel_names),
+                     classes=windows.Y.shape[1], window=windows.length)
     return to_arch(config, kind)
 
 
@@ -347,7 +333,7 @@ def cmd_train(cfg: dict, outdir: Path) -> None:
     train_s = transform(scaler, train_w)
     valid_s = transform(scaler, valid_w)
     model = build_model(arch, seed=seed)
-    tcfg = _train_config(cfg["train"], seed)
+    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=seed)
     model, history = train_classifier(model, train_s, valid_s, tcfg)
     save_model(model, outdir / "model", step=len(history))
     _write(outdir, "scaler.json", scaler.to_json())
@@ -365,10 +351,10 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
     train_s = transform(scaler, train_w)
     valid_s = transform(scaler, valid_w)
     kind = cfg["model_kind"]
-    base = {**_object(cfg["model"], "model config"), "kind": kind}
+    base = {**read(dict, cfg["model"], "model config"), "kind": kind}
     blocks = len(base.get("kernels", FcnConfig.kernels))
     if cfg["space"] is not None:
-        space = SearchSpace({k: list(v) for k, v in cfg["space"].items()})
+        space = SearchSpace(read(dict[str, list], cfg["space"], "space"))
     elif kind == "fcn":
         space = fcn_search_space(blocks=blocks)
     elif kind == "lstm":
@@ -381,7 +367,7 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
             params = {"filters": [params[f"filters{i}"] for i in range(blocks)]}
         return build_model(_model_arch({**base, **params}, train_w), seed=trial_seed)
 
-    tcfg = _train_config(cfg["train"], seed)
+    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=seed)
     trials, best = random_search(space, build, train_s, valid_s, tcfg,
                                  int(cfg["trials"]), seed)
     _write(outdir, "trials.json", trials_to_json(trials, best))
@@ -400,11 +386,12 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
 def cmd_pretrain_ae(cfg: dict, outdir: Path) -> None:
     windows = WindowSet.load(str(_require(cfg, "windows")))
     seed = int(cfg["seed"])
-    arch = _model_arch({**_object(cfg["model"], "model config"), "kind": "autoencoder"}, windows)
+    arch = _model_arch({**read(dict, cfg["model"], "model config"), "kind": "autoencoder"},
+                       windows)
     scaler = fit_scaler(cfg["scaler_kind"], windows)
     scaled = transform(scaler, windows)
     model = build_model(arch, seed=seed)
-    tcfg = _train_config(cfg["train"], seed)
+    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=seed)
     model, history = train_autoencoder(model, scaled, tcfg)
     save_model(model, outdir / "model", step=len(history))
     _write(outdir, "scaler.json", scaler.to_json())
@@ -420,11 +407,9 @@ def cmd_train_head(cfg: dict, outdir: Path) -> None:
     train_w = WindowSet.load(str(_require(cfg, "train_windows")))
     valid_w = WindowSet.load(str(_require(cfg, "valid_windows")))
     seed = int(cfg["seed"])
-    head = from_fields(HeadConfig, {"classes": train_w.Y.shape[1],
-                                    **_object(cfg["head"], "head config")},
-                       "head config", complete=False)
+    head = _config(HeadConfig, cfg["head"], "head config", classes=train_w.Y.shape[1])
     model = build_encoder_classifier(ckpt, head, seed=seed)
-    tcfg = _train_config(cfg["train"], seed)
+    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=seed)
     model, history = train_classifier(model, transform(scaler, train_w),
                                       transform(scaler, valid_w), tcfg)
     save_model(model, outdir / "model", step=len(history))

@@ -21,6 +21,7 @@ from .pipeline import (
     stride1_windows,
     transform,
 )
+from .schema import read
 
 NO_PREDICTION = -1
 
@@ -114,20 +115,13 @@ def evaluate(model, test: WindowSet, threshold: float = 0.5,
                    tuple(support), accuracy), confusions
 
 
-def _list_of(*types):
-    """Predicate: a list whose items are all of exactly one of ``types``
-    (so a JSON ``true`` is not an int)."""
-    allowed = set(types)
-    return lambda v: isinstance(v, list) and set(map(type, v)) <= allowed
-
-
-def _track_key(doc: dict, key: str, ok, what: str, where: str = ""):
-    """``doc[key]`` if present and ``ok``; IntegrityError naming the key otherwise."""
-    if key not in doc:
-        raise IntegrityError(f"track document has no key {where}{key!r}")
-    if not ok(doc[key]):
-        raise IntegrityError(f"track key {where}{key!r} must be {what}")
-    return doc[key]
+@dataclass(frozen=True)
+class _TrackDoc:
+    threshold: float
+    timestamps: list[int]
+    classes: tuple[str, ...]
+    probabilities: dict[str, list[float | None]]
+    decisions: dict[str, list[int]]
 
 
 @dataclass
@@ -172,36 +166,27 @@ class PredictionTrack:
     def from_json(text: str) -> "PredictionTrack":
         """Read ``to_json`` output; IntegrityError names a key that is missing,
         of the wrong type, or whose per-class list does not match ``timestamps``."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise IntegrityError("track document must be a JSON object")
-        threshold = _track_key(doc, "threshold", lambda v: type(v) in (int, float), "a number")
-        timestamps = _track_key(doc, "timestamps", _list_of(int), "a list of integers")
-        names = tuple(_track_key(doc, "classes", _list_of(str), "a list of strings"))
-        n = len(timestamps)
-        series = {}
-        for key, ok, what in (
-                ("probabilities", _list_of(float, int, type(None)), "numbers or null"),
-                ("decisions", lambda v: _list_of(int)(v) and set(v) <= {NO_PREDICTION, 0, 1},
-                 "-1, 0 or 1")):
-            per_class = _track_key(doc, key, lambda v: isinstance(v, dict), "an object")
+        doc = read(_TrackDoc, json.loads(text), "track", IntegrityError)
+        names, n = doc.classes, len(doc.timestamps)
+        for key, per_class in (("probabilities", doc.probabilities), ("decisions", doc.decisions)):
             for name in names:
-                values = _track_key(per_class, name, ok, f"a list of {what}",
-                                    where=f"{key}.")
-                if len(values) != n:
-                    raise IntegrityError(f"track key {key}.{name!r} has {len(values)} "
+                if name not in per_class:
+                    raise IntegrityError(f"track is missing key {key}.{name!r}")
+                if len(per_class[name]) != n:
+                    raise IntegrityError(f"track key {key}.{name!r} has {len(per_class[name])} "
                                          f"entries, 'timestamps' has {n}")
-            series[key] = [per_class[name] for name in names]
-        probs = np.array([[math.nan if v is None else v for v in row]
-                          for row in series["probabilities"]], dtype=np.float64)
-        decs = np.array(series["decisions"], dtype=np.int8)
+                if key == "decisions" and not set(per_class[name]) <= {NO_PREDICTION, 0, 1}:
+                    raise IntegrityError(f"track key {key}.{name!r} must hold -1, 0 or 1")
+        # a JSON null becomes NaN
+        probs = np.array([doc.probabilities[name] for name in names], dtype=np.float64)
+        decs = np.array([doc.decisions[name] for name in names], dtype=np.int8)
         try:
-            timestamps = np.asarray(timestamps, dtype=np.int64)
+            timestamps = np.asarray(doc.timestamps, dtype=np.int64)
         except OverflowError:
             raise IntegrityError("track key 'timestamps' must fit in 64 bits") from None
         return PredictionTrack(timestamps, names,
                                probs.reshape(len(names), n), decs.reshape(len(names), n),
-                               threshold)
+                               doc.threshold)
 
     def to_csv(self) -> str:
         header = ["timestamp"]

@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
+from .schema import read
 
 # Canonical channel and label names of the sensor fleet.
 STANDARD_CHANNELS: tuple[str, ...] = (
@@ -191,8 +192,16 @@ class CorrelationMatrix:
 
     @staticmethod
     def from_json(text: str) -> "CorrelationMatrix":
-        doc = json.loads(text)
-        return CorrelationMatrix(tuple(doc["variables"]), np.asarray(doc["matrix"]))
+        doc = read(_CorrelationDoc, json.loads(text), "correlation", IntegrityError)
+        if {len(doc.matrix), *map(len, doc.matrix)} != {len(doc.variables)}:
+            raise IntegrityError("correlation key 'matrix' must be square over 'variables'")
+        return CorrelationMatrix(doc.variables, np.asarray(doc.matrix, dtype=np.float64))
+
+
+@dataclass(frozen=True)
+class _CorrelationDoc:
+    variables: tuple[str, ...]
+    matrix: list[list[float]]
 
 
 @dataclass(frozen=True)
@@ -212,8 +221,14 @@ class FeatureSet:
 
     @staticmethod
     def from_json(text: str) -> "FeatureSet":
-        doc = json.loads(text)
-        return FeatureSet(tuple(doc["features"]), doc.get("note", ""))
+        doc = read(_FeaturesDoc, json.loads(text), "feature set", IntegrityError)
+        return FeatureSet(doc.features, doc.note)
+
+
+@dataclass(frozen=True)
+class _FeaturesDoc:
+    features: tuple[str, ...]
+    note: str = ""
 
 
 @dataclass(frozen=True)

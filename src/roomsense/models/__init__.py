@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ConfigError, IntegrityError
@@ -20,7 +21,6 @@ from .config import (
     LstmConfig,
     arch_fields,
     from_arch,
-    from_fields,
     to_arch,
 )
 from .fcn import FcnClassifier, build_fcn
@@ -59,16 +59,20 @@ def model_arch(model) -> dict:
     return to_arch(model.config, model.kind)
 
 
+@dataclass(frozen=True)
+class _EncoderClassifierArch:
+    autoencoder: dict  # the autoencoder's own arch dict
+    head: HeadConfig
+
+
 def config_from_arch(arch: dict):
     """The config of an arch dict; an encoder classifier's is (autoencoder, head)."""
     kind = arch.get("kind") if isinstance(arch, dict) else None
     if kind == EncoderClassifier.kind:
-        for key in arch:
-            if key not in ("kind", "autoencoder", "head"):
-                raise ConfigError(f"unknown {kind} architecture key {key!r}")
-        return (from_arch(AutoencoderConfig, arch.get("autoencoder"), RecurrentAutoencoder.kind),
-                from_fields(HeadConfig, arch.get("head"), "head"))
-    if kind not in KINDS:
+        parts = from_arch(_EncoderClassifierArch, arch, kind)
+        return (from_arch(AutoencoderConfig, parts.autoencoder, RecurrentAutoencoder.kind),
+                parts.head)
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(f"unknown architecture kind {kind!r}")
     return from_arch(KINDS[kind][0], arch, kind)
 

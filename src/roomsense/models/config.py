@@ -1,18 +1,17 @@
 """Declarative architecture configs: the one place that lists each model's fields.
 
 A model's arch dict is ``{"kind": kind, **fields}`` (``to_arch``), tuples
-written as lists. ``from_fields`` reads fields back as ``cls(**fields)`` behind
-a check that names any unknown or missing key and any value whose JSON type
-does not fit the field's annotation; the CLI uses it for its head and training
-configs too.
+written as lists. ``from_arch`` reads the fields back through
+``roomsense.schema.read``, which names any unknown or missing key and any value
+whose JSON type does not fit the field's annotation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import get_type_hints
 
 from ..errors import ConfigError
+from ..schema import read
 
 HEAD_MODES = ("multi_label", "single_label")
 
@@ -20,22 +19,6 @@ HEAD_MODES = ("multi_label", "single_label")
 def _check_head_mode(mode: str) -> None:
     if mode not in HEAD_MODES:
         raise ConfigError(f"head_mode must be one of {HEAD_MODES}, got {mode!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# JSON value checks per field annotation; bool is an int subclass, so it is
-# refused where a number is meant, and a float field also takes a JSON int
-_VALUE_CHECKS = {
-    int: ("an integer", _is_int),
-    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    str: ("a string", lambda v: isinstance(v, str)),
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    tuple[int, ...]: ("a list of integers",
-                      lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
-}
 
 
 def field_names(cls) -> list[str]:
@@ -55,33 +38,13 @@ def to_arch(config, kind: str) -> dict:
     return {"kind": kind, **arch_fields(config)}
 
 
-def from_fields(cls, doc: dict, what: str, complete: bool = True):
-    """``cls(**doc)``; an unknown key, a value of the wrong JSON type or (if
-    ``complete``) a missing field raises ConfigError naming the key."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {doc!r}")
-    names = field_names(cls)
-    for key in doc:
-        if key not in names:
-            raise ConfigError(f"unknown {what} key {key!r}")
-    for name in names if complete else ():
-        if name not in doc:
-            raise ConfigError(f"{what} is missing key {name!r}")
-    hints = get_type_hints(cls)
-    for key, value in doc.items():
-        expected, check = _VALUE_CHECKS[hints[key]]
-        if not check(value):
-            raise ConfigError(f"{what} key {key!r} must be {expected}, got {value!r}")
-    return cls(**doc)
-
-
 def from_arch(cls, arch: dict, kind: str):
     """Parse the arch dict of a ``kind`` model whose config class is ``cls``."""
     found = arch.get("kind") if isinstance(arch, dict) else None
     if found != kind:
         raise ConfigError(f"expected a {kind!r} architecture, got {found!r}")
-    return from_fields(cls, {k: v for k, v in arch.items() if k != "kind"},
-                       f"{kind} architecture")
+    return read(cls, {k: v for k, v in arch.items() if k != "kind"},
+                f"{kind} architecture", complete=True)
 
 
 @dataclass(frozen=True)
@@ -95,8 +58,6 @@ class FcnConfig:
     head_mode: str = "multi_label"
 
     def __post_init__(self):
-        object.__setattr__(self, "filters", tuple(self.filters))
-        object.__setattr__(self, "kernels", tuple(self.kernels))
         if len(self.filters) != len(self.kernels) or not self.filters:
             raise ConfigError("filters and kernels must have equal length >= 1")
         _check_head_mode(self.head_mode)
@@ -134,7 +95,6 @@ class InceptionConfig:
     head_mode: str = "multi_label"
 
     def __post_init__(self):
-        object.__setattr__(self, "branch_kernels", tuple(self.branch_kernels))
         if self.depth % 3 != 0 or self.depth < 3:
             raise ConfigError("depth must be a positive multiple of 3")
         _check_head_mode(self.head_mode)
@@ -150,7 +110,6 @@ class AutoencoderConfig:
     window: int = 7
 
     def __post_init__(self):
-        object.__setattr__(self, "encoder_hidden", tuple(self.encoder_hidden))
         if self.latent < 1 or any(h < 1 for h in self.encoder_hidden):
             raise ConfigError("hidden and latent sizes must be >= 1")
         if self.window < 1:

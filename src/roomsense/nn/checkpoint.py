@@ -4,9 +4,9 @@
 its fingerprint, buffer names/shapes/flags, the blob's SHA-256, seed, step)
 and ``<path>.bin`` (the named buffers concatenated in manifest order as
 little-endian float64). The round trip is bit-exact; ``load_checkpoint``
-checks that every manifest key is present with its JSON type, recomputes the
-architecture fingerprint and checks the blob's length and hash before reading
-any buffer.
+reads the manifest as a ``Manifest`` (every key present with its JSON type),
+recomputes the architecture fingerprint and checks the blob's length and hash
+before reading any buffer.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import IntegrityError
+from ..schema import read
 from .params import ParamStore
 
 
@@ -60,57 +61,56 @@ def save_checkpoint(path: str | Path, arch: dict, store: ParamStore,
     path.with_suffix(".bin").write_bytes(blob)
 
 
-def _field(doc, key: str, kind, what: str = "checkpoint manifest"):
-    """``doc[key]``, or IntegrityError naming ``key`` when it is missing or not a ``kind``."""
-    if not isinstance(doc, dict) or key not in doc:
-        raise IntegrityError(f"{what} is missing key {key!r}")
-    value = doc[key]
-    # bool is an int subclass; JSON true is not a seed, step or shape entry
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise IntegrityError(f"{what} key {key!r} has the wrong type: {value!r}")
-    return value
+@dataclass(frozen=True)
+class BufferEntry:
+    name: str
+    shape: tuple[int, ...]
+    trainable: bool
 
 
-def _buffer_entry(entry) -> tuple[str, list[int], bool]:
-    name = _field(entry, "name", str, "checkpoint buffer entry")
-    what = f"checkpoint buffer {name!r}"
-    shape = _field(entry, "shape", list, what)
-    if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
-        raise IntegrityError(f"{what} has an invalid shape {shape!r}")
-    return name, shape, _field(entry, "trainable", bool, what)
+@dataclass(frozen=True)
+class Manifest:
+    """The ``<path>.json`` half of a checkpoint, as ``save_checkpoint`` writes it."""
+
+    architecture: dict
+    fingerprint: str
+    buffers: tuple[BufferEntry, ...]
+    blob_sha256: str
+    seed: int
+    step: int
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
-    manifest = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-    arch = _field(manifest, "architecture", dict)
-    fingerprint = architecture_fingerprint(arch)
-    if fingerprint != _field(manifest, "fingerprint", str):
-        raise IntegrityError("checkpoint architecture does not match the manifest's fingerprint")
-    entries = [_buffer_entry(e) for e in _field(manifest, "buffers", list)]
-    seed = _field(manifest, "seed", int)
-    step = _field(manifest, "step", int)
+    manifest = read(Manifest, json.loads(path.with_suffix(".json").read_text(encoding="utf-8")),
+                    "checkpoint manifest", IntegrityError)
+    fingerprint = architecture_fingerprint(manifest.architecture)
+    if fingerprint != manifest.fingerprint:
+        raise IntegrityError("checkpoint architecture does not match the manifest's 'fingerprint'")
+    for i, entry in enumerate(manifest.buffers):
+        if min(entry.shape, default=0) < 0:
+            raise IntegrityError(f"checkpoint manifest key buffers[{i}].shape is negative")
     blob = path.with_suffix(".bin").read_bytes()
-    sizes = [int(np.prod(shape)) for _, shape, _ in entries]
+    sizes = [int(np.prod(entry.shape)) for entry in manifest.buffers]
     if len(blob) != 8 * sum(sizes):
         raise IntegrityError(
             f"checkpoint blob has {len(blob)} bytes, manifest expects {8 * sum(sizes)}")
-    if hashlib.sha256(blob).hexdigest() != _field(manifest, "blob_sha256", str):
+    if hashlib.sha256(blob).hexdigest() != manifest.blob_sha256:
         raise IntegrityError("checkpoint blob does not match the manifest's blob_sha256")
     data = np.frombuffer(blob, dtype="<f8")
     buffers: dict[str, np.ndarray] = {}
     trainable: dict[str, bool] = {}
     offset = 0
-    for (name, shape, flag), size in zip(entries, sizes):
-        buffers[name] = data[offset:offset + size].reshape(shape).copy()
-        trainable[name] = flag
+    for entry, size in zip(manifest.buffers, sizes):
+        buffers[entry.name] = data[offset:offset + size].reshape(entry.shape).copy()
+        trainable[entry.name] = entry.trainable
         offset += size
     return Checkpoint(
-        arch=arch,
+        arch=manifest.architecture,
         buffers=buffers,
         trainable=trainable,
-        seed=seed,
-        step=step,
+        seed=manifest.seed,
+        step=manifest.step,
         fingerprint=fingerprint,
     )
 

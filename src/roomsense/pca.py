@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError
+from .errors import ConfigError, DegenerateDataError, IntegrityError
 from .rng import Rng
+from .schema import read
 
 _START_SEED = 0x9E3779B9
 _TOL = 1e-10
@@ -36,9 +37,19 @@ class PcaModel:
 
     @staticmethod
     def from_json(text: str) -> "PcaModel":
-        doc = json.loads(text)
-        return PcaModel(np.asarray(doc["mean"]), np.asarray(doc["components"]),
-                        tuple(doc["explained"]))
+        doc = read(_PcaDoc, json.loads(text), "pca", IntegrityError)
+        if len(doc.components) != len(doc.mean):
+            raise IntegrityError("pca key 'components' must have one row per entry of 'mean'")
+        return PcaModel(np.asarray(doc.mean, dtype=np.float64),
+                        np.asarray(doc.components, dtype=np.float64).reshape(-1, 2),
+                        doc.explained)
+
+
+@dataclass(frozen=True)
+class _PcaDoc:
+    mean: list[float]
+    components: list[tuple[float, float]]
+    explained: tuple[float, float]
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DegenerateDataError, IntegrityError, SchemaError, SplitError
 from .frames import SensorFrame
 from .rng import Rng
+from .schema import read
 
 DEFAULT_MAX_GAP_S = 360  # three nominal 120 s periods
 
@@ -60,11 +61,11 @@ class WindowSet:
         self.start_timestamps = np.asarray(self.start_timestamps, dtype=np.int64)
         n = self.X.shape[0]
         if self.Y.shape[0] != n or self.start_timestamps.shape[0] != n:
-            raise ConfigError("X, Y, and start timestamps must agree on N")
+            raise IntegrityError("X, Y, and start timestamps must agree on N")
         if self.X.ndim != 3 or self.X.shape[1] != len(self.channel_names):
-            raise ConfigError(f"X shape {self.X.shape} does not match channel names")
+            raise IntegrityError(f"X shape {self.X.shape} does not match 'channel_names'")
         if self.Y.ndim != 2 or self.Y.shape[1] != len(self.class_names):
-            raise ConfigError(f"Y shape {self.Y.shape} does not match class names")
+            raise IntegrityError(f"Y shape {self.Y.shape} does not match 'class_names'")
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -115,30 +116,42 @@ class WindowSet:
     @staticmethod
     def load(path: str | Path) -> "WindowSet":
         path = Path(path)
-        header = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
+        h = read(_WindowSidecar, json.loads(path.with_suffix(".json").read_text(encoding="utf-8")),
+                 "window-set sidecar", IntegrityError)
         blob = path.with_suffix(".bin").read_bytes()
-        xs = int(np.prod(header["x_shape"]))
-        ys = int(np.prod(header["y_shape"]))
-        n = header["x_shape"][0]
-        expected = 8 * (xs + ys + n * (2 if header["has_start_indices"] else 1))
+        xs = int(np.prod(h.x_shape))
+        ys = int(np.prod(h.y_shape))
+        n = h.x_shape[0]
+        expected = 8 * (xs + ys + n * (2 if h.has_start_indices else 1))
         if len(blob) != expected:
             raise IntegrityError(
                 f"window-set blob has {len(blob)} bytes, header expects {expected}")
         data = np.frombuffer(blob, dtype="<f8")
-        X = data[:xs].reshape(header["x_shape"])
-        Y = data[xs:xs + ys].reshape(header["y_shape"])
+        X = data[:xs].reshape(h.x_shape)
+        Y = data[xs:xs + ys].reshape(h.y_shape)
         ts = data[xs + ys:xs + ys + n].astype(np.int64)
         rest = data[xs + ys + n:]
-        idx = rest.astype(np.int64) if header["has_start_indices"] and rest.size else None
+        idx = rest.astype(np.int64) if h.has_start_indices and rest.size else None
         return WindowSet(
             X=X.copy(), Y=Y.copy(),
-            channel_names=tuple(header["channel_names"]),
-            class_names=tuple(header["class_names"]),
+            channel_names=h.channel_names,
+            class_names=h.class_names,
             start_timestamps=ts,
-            label_position=header["label_position"],
+            label_position=h.label_position,
             start_indices=idx,
-            scaler_note=header.get("scaler_note", ""),
+            scaler_note=h.scaler_note,
         )
+
+
+@dataclass(frozen=True)
+class _WindowSidecar:
+    x_shape: tuple[int, int, int]
+    y_shape: tuple[int, int]
+    channel_names: tuple[str, ...]
+    class_names: tuple[str, ...]
+    label_position: str
+    has_start_indices: bool
+    scaler_note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +372,12 @@ class ScalerParams:
             raise ConfigError(f"scaler kind must be standard|minmax, got {self.kind!r}")
         object.__setattr__(self, "stat_a", np.asarray(self.stat_a, dtype=np.float64))
         object.__setattr__(self, "stat_b", np.asarray(self.stat_b, dtype=np.float64))
+        for key, stat in zip(_STAT_KEYS[self.kind], (self.stat_a, self.stat_b)):
+            if stat.shape != (len(self.channel_names),):
+                raise IntegrityError(f"scaler key {key!r} must hold one number per channel")
 
     def to_json(self) -> str:
-        key_a, key_b = ("mean", "std") if self.kind == "standard" else ("min", "max")
+        key_a, key_b = _STAT_KEYS[self.kind]
         doc = {
             "kind": self.kind,
             "channels": list(self.channel_names),
@@ -372,10 +388,24 @@ class ScalerParams:
 
     @staticmethod
     def from_json(text: str) -> "ScalerParams":
-        doc = json.loads(text)
-        key_a, key_b = ("mean", "std") if doc["kind"] == "standard" else ("min", "max")
-        return ScalerParams(doc["kind"], tuple(doc["channels"]),
-                            np.asarray(doc[key_a]), np.asarray(doc[key_b]))
+        doc = read(_ScalerDoc, json.loads(text), "scaler", IntegrityError)
+        if doc.kind not in _STAT_KEYS:
+            raise IntegrityError(f"scaler key 'kind' must be standard or minmax, got {doc.kind!r}")
+        return ScalerParams(doc.kind, doc.channels,
+                            *(getattr(doc, key) for key in _STAT_KEYS[doc.kind]))
+
+
+_STAT_KEYS = {"standard": ("mean", "std"), "minmax": ("min", "max")}
+
+
+@dataclass(frozen=True)
+class _ScalerDoc:
+    kind: str
+    channels: tuple[str, ...]
+    mean: tuple[float, ...] = ()
+    std: tuple[float, ...] = ()
+    min: tuple[float, ...] = ()
+    max: tuple[float, ...] = ()
 
 
 def fit_scaler(kind: str, data: SensorFrame | WindowSet) -> ScalerParams:

@@ -1,0 +1,88 @@
+"""The one check of parsed JSON against dataclass annotations.
+
+``read(tp, value, what, error)`` returns ``value`` as a ``tp``, building
+dataclasses from JSON objects and tuples from lists. An unknown or missing
+key, or a value of the wrong JSON type, raises ``error`` naming the key path,
+such as ``decisions.'person'`` or ``buffers[3].shape``: ConfigError (CLI exit
+1) for config objects, IntegrityError (exit 2) for documents read from disk.
+Annotations: int, float, str, bool and unions of them (``float | None``),
+``list[T]``, ``tuple[T, ...]``, ``tuple[T, T]``, ``dict[str, T]``, bare
+``list`` and ``dict``, and dataclasses. JSON ``true`` is not a number, and a
+float also takes a JSON int.
+"""
+
+from __future__ import annotations
+
+import reprlib
+import types
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
+
+from .errors import ConfigError
+
+_SCALARS = {int: {int}, float: {int, float}, str: {str}, bool: {bool}, type(None): {type(None)}}
+
+
+@cache
+def _scalar_types(tp) -> set | None:
+    """The types of the JSON scalars ``tp`` takes, a union's together; None if none."""
+    members = get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+    return set().union(*map(_SCALARS.get, members)) if set(members) <= set(_SCALARS) else None
+
+
+@cache
+def _fields(cls) -> dict[str, tuple[object, bool]]:
+    """Per field of a dataclass: its annotation and whether it must be given."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def _key(path: str) -> str:
+    """A top-level key quoted (``'seed'``), a nested path as built (``decisions.'person'``)."""
+    return repr(path) if path.isidentifier() else path
+
+
+def read(tp, value, what: str, error: type[Exception] = ConfigError,
+         complete: bool = False, path: str = ""):
+    """``value`` checked against ``tp``; ``what`` names the document in errors.
+
+    A dataclass field with a default may be left out unless ``complete``. A
+    list or object of scalars is checked as a whole, by the set of its item
+    types in one pass; other items are checked one by one. ``path`` locates
+    ``value`` inside the document.
+    """
+    origin, args = get_origin(tp), get_args(tp)
+    item = (args[-1] if origin is dict else args[0]) if args else None
+    items = _scalar_types(item)
+    if (scalars := _scalar_types(tp)) is not None:
+        ok = type(value) in scalars
+    elif origin in (list, tuple) or tp is list:
+        fixed = origin is tuple and args[-1] is not Ellipsis  # tuple[T, T]: one item type
+        ok = (isinstance(value, (list, tuple)) and (not fixed or len(value) == len(args))
+              and (items is None or set(map(type, value)) <= items))
+    else:
+        ok = isinstance(value, dict) and (items is None or set(map(type, value.values())) <= items)
+    if not ok:
+        where = f"{what} key {_key(path)}" if path else what
+        expected = ("a JSON object" if is_dataclass(tp) or tp is dict
+                    else str(tp) if origin else tp.__name__)
+        raise error(f"{where} must be {expected}, got {reprlib.repr(value)}")
+    if is_dataclass(tp):
+        spec = _fields(tp)
+        at = {name: f"{path}.{name}" if path else name for name in (*spec, *value)}
+        for name in value:
+            if name not in spec:
+                raise error(f"unknown {what} key {_key(at[name])}")
+        for name, (_, required) in spec.items():
+            if name not in value and (required or complete):
+                raise error(f"{what} is missing key {_key(at[name])}")
+        return tp(**{name: read(spec[name][0], v, what, error, complete, at[name])
+                     for name, v in value.items()})
+    if origin in (list, tuple) and items is None:
+        value = [read(item, v, what, error, complete, f"{path}[{i}]") for i, v in enumerate(value)]
+    elif origin is dict and items is None:
+        value = {k: read(item, v, what, error, complete, f"{path}.{k!r}" if path else repr(k))
+                 for k, v in value.items()}
+    return tuple(value) if origin is tuple else value

@@ -20,9 +20,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, IntegrityError
 from .frames import STANDARD_CHANNELS, STANDARD_LABELS, SensorFrame
 from .rng import Rng, derive_seed
+from .schema import read
 
 _AMBIENT_DEFAULTS: dict[str, float] = {
     "pressure": 1005.0, "temperature": 21.5, "sound": 32.0, "tvoc": 120.0,
@@ -109,7 +110,7 @@ class ScenarioConfig:
 
     @staticmethod
     def from_json(text: str) -> "ScenarioConfig":
-        return ScenarioConfig(**json.loads(text))
+        return read(ScenarioConfig, json.loads(text), "scenario", IntegrityError)
 
 
 def bundled_scenario() -> ScenarioConfig:

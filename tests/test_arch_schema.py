@@ -24,7 +24,8 @@ from roomsense.models import (
     model_arch,
     model_from_checkpoint,
 )
-from roomsense.models.config import from_fields, to_arch
+from roomsense.models.config import to_arch
+from roomsense.schema import read
 from roomsense.training import TrainConfig
 from roomsense.nn.checkpoint import architecture_fingerprint, load_checkpoint
 from roomsense.pipeline import WindowSet
@@ -182,10 +183,10 @@ def test_cli_unknown_key_exits_1_naming_it(windows, tiny_ae, tmp_path, capsys, s
 def test_from_fields_checks_value_types(cls, doc, ok):
     base = {} if cls is TrainConfig else {"in_channels": 3}
     if ok:
-        from_fields(cls, {**base, **doc}, "cfg", complete=False)
+        read(cls, {**base, **doc}, "cfg", complete=False)
     else:
         with pytest.raises(ConfigError, match=repr(next(iter(doc)))):
-            from_fields(cls, {**base, **doc}, "cfg", complete=False)
+            read(cls, {**base, **doc}, "cfg", complete=False)
 
 
 @pytest.mark.parametrize("argv", [
