@@ -352,7 +352,8 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
     valid_s = transform(scaler, valid_w)
     kind = cfg["model_kind"]
     base = {**read(dict, cfg["model"], "model config"), "kind": kind}
-    blocks = len(base.get("kernels", FcnConfig.kernels))
+    blocks = len(read(tuple[int, ...], base.get("kernels", FcnConfig.kernels), "model config",
+                      path="kernels"))
     if cfg["space"] is not None:
         space = SearchSpace(read(dict[str, list], cfg["space"], "space"))
     elif kind == "fcn":

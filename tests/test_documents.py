@@ -226,6 +226,8 @@ def test_named_damaged_inputs(stages, tmp_path, capsys):
          "'channel_names'"),
         (["tune", "--set", f"train_windows={windows}", "--set", f"valid_windows={windows}",
           "--set", "space=[1]", *out], 1, "space"),
+        (["tune", "--set", f"train_windows={windows}", "--set", f"valid_windows={windows}",
+          "--set", 'model={"kernels":3}', *out], 1, "'kernels'"),
         (["synth", "--set", 'scenario={"bogus":1}', *out], 1, "'bogus'"),
         (["synth", "--set", 'scenario={"noise_std":{"co2":"8"}}', *out], 1, "'noise_std'"),
     ]
