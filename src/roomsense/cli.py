@@ -168,6 +168,12 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
+def _value(cfg: dict, key: str, tp):
+    """Top-level config value ``key`` checked as ``tp``; a float comes back as a float."""
+    value = read(tp, cfg[key], "config", path=key)
+    return float(value) if tp is float else value
+
+
 def _write(outdir: Path, name: str, text: str) -> None:
     (outdir / name).write_text(text, encoding="utf-8")
 
@@ -221,14 +227,14 @@ def cmd_synth(cfg: dict, outdir: Path) -> None:
     scenario = cfg["scenario"]
     sc = (bundled_scenario() if scenario == "bundled"
           else read(ScenarioConfig, scenario, "scenario"))
-    if cfg.get("seed") is not None:
-        sc = replace(sc, seed=int(cfg["seed"]))
+    if (seed := _value(cfg, "seed", int | None)) is not None:
+        sc = replace(sc, seed=seed)
     _write(outdir, "scenario.json", sc.to_json())
-    devices = int(cfg["fleet_devices"])
+    devices = _value(cfg, "fleet_devices", int)
     if devices > 0:
         fleet_dir = outdir / "fleet"
         fleet_dir.mkdir(exist_ok=True)
-        for frame in generate_fleet(sc, devices, jitter=float(cfg["fleet_jitter"])):
+        for frame in generate_fleet(sc, devices, jitter=_value(cfg, "fleet_jitter", float)):
             (fleet_dir / f"{frame.device_id}.csv").write_bytes(frame_to_csv(frame))
         print(f"wrote {devices} unlabelled fleet frames to {fleet_dir}")
     else:
@@ -241,7 +247,7 @@ def cmd_clean(cfg: dict, outdir: Path) -> None:
     frame = _load_frame(str(_require(cfg, "in")))
     before = missing_report(frame)
     frame = interpolate_missing(frame, cfg["edge_policy"])
-    if cfg["binarize"] and "person" in frame.label_names:
+    if _value(cfg, "binarize", bool) and "person" in frame.label_names:
         frame = binarize_person(frame)
     (outdir / "clean.csv").write_bytes(frame_to_csv(frame))
     summary = {"rows": len(frame), "edge_policy": cfg["edge_policy"],
@@ -259,7 +265,8 @@ def cmd_report_missing(cfg: dict, outdir: Path) -> None:
 
 def cmd_correlate(cfg: dict, outdir: Path) -> None:
     frame = _load_frame(str(_require(cfg, "in")))
-    variables = cfg["variables"] or [*frame.channel_names, *frame.label_names]
+    variables = (_value(cfg, "variables", list[str]) if cfg["variables"]
+                 else [*frame.channel_names, *frame.label_names])
     matrix = pearson_matrix(frame, variables)
     _write(outdir, "correlation.json", matrix.to_json())
     print(f"{len(variables)}x{len(variables)} correlation matrix -> "
@@ -269,8 +276,8 @@ def cmd_correlate(cfg: dict, outdir: Path) -> None:
 def cmd_select_features(cfg: dict, outdir: Path) -> None:
     matrix = CorrelationMatrix.from_json(
         Path(str(_require(cfg, "correlation"))).read_text(encoding="utf-8"))
-    features = select_features(matrix, float(cfg["pair_threshold"]),
-                               tuple(cfg["classes"]))
+    features = select_features(matrix, _value(cfg, "pair_threshold", float),
+                               _value(cfg, "classes", tuple[str, ...]))
     _write(outdir, "features.json", features.to_json())
     print(f"retained {len(features.names)} features: {', '.join(features.names)}")
 
@@ -278,16 +285,16 @@ def cmd_select_features(cfg: dict, outdir: Path) -> None:
 def cmd_sample(cfg: dict, outdir: Path) -> None:
     frame = _load_frame(str(_require(cfg, "in")))
     if cfg["channels"]:
-        channels = list(cfg["channels"])
+        channels = _value(cfg, "channels", list[str])
     elif cfg["features_file"]:
         channels = list(FeatureSet.from_json(
-            Path(cfg["features_file"]).read_text(encoding="utf-8")).names)
+            Path(_value(cfg, "features_file", str)).read_text(encoding="utf-8")).names)
     else:
         channels = list(frame.channel_names)
-    k = cfg["undersample_k"]
-    windows = build_windows(frame, channels, int(cfg["length"]), int(cfg["stride"]),
-                            cfg["position"], None if k is None else int(k),
-                            int(cfg["max_gap_s"]))
+    windows = build_windows(frame, channels, _value(cfg, "length", int),
+                            _value(cfg, "stride", int), cfg["position"],
+                            _value(cfg, "undersample_k", int | None),
+                            _value(cfg, "max_gap_s", int))
     windows.save(outdir / "windows")
     print(f"{len(windows)} windows of shape ({len(channels)}, {cfg['length']}) -> "
           f"{outdir / 'windows.bin'}")
@@ -296,7 +303,8 @@ def cmd_sample(cfg: dict, outdir: Path) -> None:
 def cmd_split(cfg: dict, outdir: Path) -> None:
     if cfg["mode"] == "random":
         windows = WindowSet.load(str(_require(cfg, "in")))
-        spec = SplitSpec(ratios=tuple(cfg["ratios"]), seed=int(cfg["seed"]))
+        spec = SplitSpec(ratios=_value(cfg, "ratios", tuple[float, ...]),
+                         seed=_value(cfg, "seed", int))
         train, valid, test = split_random(windows, spec)
         train.save(outdir / "train")
         valid.save(outdir / "valid")
@@ -304,8 +312,9 @@ def cmd_split(cfg: dict, outdir: Path) -> None:
         print(f"split {len(windows)} windows -> {len(train)}/{len(valid)}/{len(test)}")
     elif cfg["mode"] == "time":
         frame = _load_frame(str(_require(cfg, "in")))
-        cut = _require(cfg, "cut_timestamp")
-        train, test = split_time(frame, int(cut))
+        _require(cfg, "cut_timestamp")
+        cut = _value(cfg, "cut_timestamp", int)
+        train, test = split_time(frame, cut)
         (outdir / "train.csv").write_bytes(frame_to_csv(train))
         (outdir / "test.csv").write_bytes(frame_to_csv(test))
         print(f"time split at {cut}: {len(train)} train rows, {len(test)} test rows")
@@ -327,7 +336,7 @@ def _model_arch(cfg_model: dict, windows: WindowSet) -> dict:
 def cmd_train(cfg: dict, outdir: Path) -> None:
     train_w = WindowSet.load(str(_require(cfg, "train_windows")))
     valid_w = WindowSet.load(str(_require(cfg, "valid_windows")))
-    seed = int(cfg["seed"])
+    seed = _value(cfg, "seed", int)
     arch = _model_arch(_require(cfg, "model"), train_w)
     scaler = fit_scaler(cfg["scaler_kind"], train_w)
     train_s = transform(scaler, train_w)
@@ -346,7 +355,7 @@ def cmd_train(cfg: dict, outdir: Path) -> None:
 def cmd_tune(cfg: dict, outdir: Path) -> None:
     train_w = WindowSet.load(str(_require(cfg, "train_windows")))
     valid_w = WindowSet.load(str(_require(cfg, "valid_windows")))
-    seed = int(cfg["seed"])
+    seed = _value(cfg, "seed", int)
     scaler = fit_scaler(cfg["scaler_kind"], train_w)
     train_s = transform(scaler, train_w)
     valid_s = transform(scaler, valid_w)
@@ -370,7 +379,7 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
 
     tcfg = _config(TrainConfig, cfg["train"], "train config", seed=seed)
     trials, best = random_search(space, build, train_s, valid_s, tcfg,
-                                 int(cfg["trials"]), seed)
+                                 _value(cfg, "trials", int), seed)
     _write(outdir, "trials.json", trials_to_json(trials, best))
     lines = ["trial,f1_mean," + ",".join(sorted(space.grids))]
     for t in trials:
@@ -386,7 +395,7 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
 
 def cmd_pretrain_ae(cfg: dict, outdir: Path) -> None:
     windows = WindowSet.load(str(_require(cfg, "windows")))
-    seed = int(cfg["seed"])
+    seed = _value(cfg, "seed", int)
     arch = _model_arch({**read(dict, cfg["model"], "model config"), "kind": "autoencoder"},
                        windows)
     scaler = fit_scaler(cfg["scaler_kind"], windows)
@@ -407,7 +416,7 @@ def cmd_train_head(cfg: dict, outdir: Path) -> None:
         Path(str(_require(cfg, "scaler"))).read_text(encoding="utf-8"))
     train_w = WindowSet.load(str(_require(cfg, "train_windows")))
     valid_w = WindowSet.load(str(_require(cfg, "valid_windows")))
-    seed = int(cfg["seed"])
+    seed = _value(cfg, "seed", int)
     head = _config(HeadConfig, cfg["head"], "head config", classes=train_w.Y.shape[1])
     model = build_encoder_classifier(ckpt, head, seed=seed)
     tcfg = _config(TrainConfig, cfg["train"], "train config", seed=seed)
@@ -420,11 +429,12 @@ def cmd_train_head(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_eval(cfg: dict, outdir: Path) -> None:
-    model = model_from_checkpoint(str(_require(cfg, "checkpoint")), cfg["expect_fingerprint"])
+    model = model_from_checkpoint(str(_require(cfg, "checkpoint")),
+                                  _value(cfg, "expect_fingerprint", str | None))
     scaler = ScalerParams.from_json(
         Path(str(_require(cfg, "scaler"))).read_text(encoding="utf-8"))
     windows = transform(scaler, WindowSet.load(str(_require(cfg, "windows"))))
-    metrics, confusions = evaluate(model, windows, float(cfg["threshold"]))
+    metrics, confusions = evaluate(model, windows, _value(cfg, "threshold", float))
     _write(outdir, "metrics.json", metrics.to_json())
     _write(outdir, "metrics.csv", _metrics_csv(metrics))
     _write(outdir, "confusion.json", confusions_to_json(confusions))
@@ -434,13 +444,14 @@ def cmd_eval(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_predict(cfg: dict, outdir: Path) -> None:
-    model = model_from_checkpoint(str(_require(cfg, "checkpoint")), cfg["expect_fingerprint"])
+    model = model_from_checkpoint(str(_require(cfg, "checkpoint")),
+                                  _value(cfg, "expect_fingerprint", str | None))
     scaler = ScalerParams.from_json(
         Path(str(_require(cfg, "scaler"))).read_text(encoding="utf-8"))
     frame = _load_frame(str(_require(cfg, "in")))
-    track = predict_timeline(model, frame, scaler, int(cfg["length"]),
-                             cfg["position"], float(cfg["threshold"]),
-                             int(cfg["max_gap_s"]))
+    track = predict_timeline(model, frame, scaler, _value(cfg, "length", int),
+                             cfg["position"], _value(cfg, "threshold", float),
+                             _value(cfg, "max_gap_s", int))
     _write(outdir, "track.json", track.to_json())
     _write(outdir, "track.csv", track.to_csv())
     covered = int((track.decisions[0] >= 0).sum()) if len(track.class_names) else 0
@@ -450,7 +461,7 @@ def cmd_predict(cfg: dict, outdir: Path) -> None:
 def cmd_smooth(cfg: dict, outdir: Path) -> None:
     track = PredictionTrack.from_json(
         Path(str(_require(cfg, "track"))).read_text(encoding="utf-8"))
-    smoothed = smooth(track, int(cfg["width"]))
+    smoothed = smooth(track, _value(cfg, "width", int))
     _write(outdir, "track.json", smoothed.to_json())
     _write(outdir, "track.csv", smoothed.to_csv())
     flipped = int((smoothed.decisions != track.decisions).sum())
@@ -458,7 +469,8 @@ def cmd_smooth(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_pca(cfg: dict, outdir: Path) -> None:
-    model = model_from_checkpoint(str(_require(cfg, "checkpoint")), cfg["expect_fingerprint"])
+    model = model_from_checkpoint(str(_require(cfg, "checkpoint")),
+                                  _value(cfg, "expect_fingerprint", str | None))
     scaler = ScalerParams.from_json(
         Path(str(_require(cfg, "scaler"))).read_text(encoding="utf-8"))
     windows = transform(scaler, WindowSet.load(str(_require(cfg, "windows"))))
@@ -517,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.dry_run:
             print(f"config ok: {json.dumps(cfg, sort_keys=True)}")
             return 0
-        outdir = Path(cfg["out"])
+        outdir = Path(_value(cfg, "out", str))
         outdir.mkdir(parents=True, exist_ok=True)
         _write_resolved(outdir, args.command, cfg)
         COMMANDS[args.command](cfg, outdir)

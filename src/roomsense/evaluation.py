@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, IntegrityError
-from .frames import SensorFrame, csv_rows
+from .frames import SensorFrame, csv_rows, format_cells
 from .pipeline import (
     DEFAULT_MAX_GAP_S,
     ScalerParams,
@@ -115,6 +114,16 @@ def evaluate(model, test: WindowSet, threshold: float = 0.5,
                    tuple(support), accuracy), confusions
 
 
+def _json_layout(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """Formatted JSON values (or ``"key": value`` members, with ``brackets="{}"``)
+    laid out as ``json.dumps(..., indent=2)`` lays out a list (an object) whose
+    first line is indented by ``indent``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 @dataclass(frozen=True)
 class _TrackDoc:
     threshold: float
@@ -147,25 +156,32 @@ class PredictionTrack:
         return self.timestamps.shape[0]
 
     def to_json(self) -> str:
-        doc = {
-            "threshold": self.threshold,
-            "timestamps": self.timestamps.tolist(),
-            "classes": list(self.class_names),
-            "probabilities": {
-                name: [None if math.isnan(v) else v for v in self.probabilities[k]]
-                for k, name in enumerate(self.class_names)
-            },
-            "decisions": {
-                name: self.decisions[k].tolist()
-                for k, name in enumerate(self.class_names)
-            },
+        """The document ``json.dumps(doc, sort_keys=True, indent=2)`` writes for
+        this track, laid out from formatted cells: one value per line, ``null``
+        for no prediction, per-class objects in sorted class-name order."""
+        # a repeated class name keeps its last row, as a dict built in track order does
+        rows = {name: k for k, name in enumerate(self.class_names)}
+
+        def per_class(table: np.ndarray) -> str:
+            return _json_layout([f"{json.dumps(name)}: "
+                                 f"{_json_layout(format_cells(table[k], 'null'), '    ')}"
+                                 for name, k in sorted(rows.items())], "  ", "{}")
+
+        fields = {  # in sorted key order
+            "classes": _json_layout(list(map(json.dumps, self.class_names)), "  "),
+            "decisions": per_class(self.decisions),
+            "probabilities": per_class(self.probabilities),
+            "threshold": json.dumps(self.threshold),
+            "timestamps": _json_layout(format_cells(self.timestamps), "  "),
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return _json_layout([f'"{key}": {text}' for key, text in fields.items()], "", "{}") + "\n"
 
     @staticmethod
     def from_json(text: str) -> "PredictionTrack":
         """Read ``to_json`` output; IntegrityError names a key that is missing,
-        of the wrong type, or whose per-class list does not match ``timestamps``."""
+        of the wrong type, or whose per-class list does not match ``timestamps``,
+        and a class whose probabilities are not null or in [0, 1], or are null
+        where its decision is not -1 or the other way round."""
         doc = read(_TrackDoc, json.loads(text), "track", IntegrityError)
         names, n = doc.classes, len(doc.timestamps)
         for key, per_class in (("probabilities", doc.probabilities), ("decisions", doc.decisions)):
@@ -178,15 +194,26 @@ class PredictionTrack:
                 if key == "decisions" and not set(per_class[name]) <= {NO_PREDICTION, 0, 1}:
                     raise IntegrityError(f"track key {key}.{name!r} must hold -1, 0 or 1")
         # a JSON null becomes NaN
+        shape = (len(names), n)
         probs = np.array([doc.probabilities[name] for name in names], dtype=np.float64)
-        decs = np.array([doc.decisions[name] for name in names], dtype=np.int8)
+        probs = probs.reshape(shape)
+        decs = np.array([doc.decisions[name] for name in names], dtype=np.int8).reshape(shape)
+        for k, name in enumerate(names):
+            missing = np.isnan(probs[k])
+            present = probs[k][~missing]
+            # more NaN than null means a NaN literal
+            if (missing.sum() != doc.probabilities[name].count(None)
+                    or (present < 0).any() or (present > 1).any()):
+                raise IntegrityError(f"track key probabilities.{name!r} must hold null "
+                                     "or numbers in [0, 1]")
+            if not np.array_equal(missing, decs[k] == NO_PREDICTION):
+                raise IntegrityError(f"track key probabilities.{name!r} must be null exactly "
+                                     f"where decisions.{name!r} is -1")
         try:
             timestamps = np.asarray(doc.timestamps, dtype=np.int64)
         except OverflowError:
             raise IntegrityError("track key 'timestamps' must fit in 64 bits") from None
-        return PredictionTrack(timestamps, names,
-                               probs.reshape(len(names), n), decs.reshape(len(names), n),
-                               doc.threshold)
+        return PredictionTrack(timestamps, names, probs, decs, doc.threshold)
 
     def to_csv(self) -> str:
         header = ["timestamp"]

@@ -337,14 +337,18 @@ def parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
     )
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """CSV cells of one column: ``str`` of each integer, ``repr`` of each
-    float with NaN as the empty cell."""
+def format_cells(column: np.ndarray, missing: str = "") -> list[str]:
+    """Text cells of one column: ``str`` of each integer, ``repr`` of each
+    float with ``missing`` for NaN (the empty CSV cell by default).
+
+    For finite floats and integers these are also the JSON numbers that
+    ``json.dumps`` writes.
+    """
     if column.dtype.kind != "f":
         return list(map(str, column.tolist()))
     cells = list(map(repr, column.tolist()))
     for i in np.flatnonzero(np.isnan(column)).tolist():
-        cells[i] = ""
+        cells[i] = missing
     return cells
 
 
@@ -356,7 +360,7 @@ def csv_rows(columns: list[np.ndarray]) -> str:
     n = len(columns[0])
     blocks = []
     for lo in range(0, n, CSV_BLOCK_ROWS):
-        cells = [_cells(c[lo:lo + CSV_BLOCK_ROWS]) for c in columns]
+        cells = [format_cells(c[lo:lo + CSV_BLOCK_ROWS]) for c in columns]
         blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
     return "".join(blocks)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import json
 import math
 from dataclasses import replace
 
@@ -217,6 +218,23 @@ def reference_track_csv(track: PredictionTrack) -> str:
     return "\n".join(lines) + "\n"
 
 
+def reference_track_json(track: PredictionTrack) -> str:
+    doc = {
+        "threshold": track.threshold,
+        "timestamps": track.timestamps.tolist(),
+        "classes": list(track.class_names),
+        "probabilities": {
+            name: [None if math.isnan(v) else v for v in track.probabilities[k]]
+            for k, name in enumerate(track.class_names)
+        },
+        "decisions": {
+            name: track.decisions[k].tolist()
+            for k, name in enumerate(track.class_names)
+        },
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def reference_window_label(window_labels, position="first"):
     wl = np.asarray(window_labels, dtype=np.float64)
     if wl.ndim == 1:
@@ -314,14 +332,21 @@ class TestPinnedDigests:
         assert sha256(ws.start_indices.tobytes()) == \
             "c06a1934e4cb3c72ddd687b0f97f8ce782f4933566b42e8d61c894aa97cdf49e"
 
-    def test_track_csv_with_nan_negative_zero_and_subnormal(self):
+    @staticmethod
+    def odd_values_track() -> PredictionTrack:
         probs = np.array([[np.nan, -0.0, 5e-324, 0.5, 1.0, 0.1 + 0.2],
                           [0.25, np.nan, np.nan, 1e-300, 0.0, 0.999999999999]])
         decs = np.array([[-1, 0, 0, 1, 1, 0], [0, -1, -1, 0, 0, 1]], dtype=np.int8)
-        track = PredictionTrack(1_700_000_000 + 120 * np.arange(6),
-                                ("person", "window_open"), probs, decs, 0.5)
-        assert sha256(track.to_csv().encode("utf-8")) == \
+        return PredictionTrack(1_700_000_000 + 120 * np.arange(6),
+                               ("person", "window_open"), probs, decs, 0.5)
+
+    def test_track_csv_with_nan_negative_zero_and_subnormal(self):
+        assert sha256(self.odd_values_track().to_csv().encode("utf-8")) == \
             "4e984bf5e09fc02c12be85645bc953408f9177a1279d1d8d60679e71a59742e0"
+
+    def test_track_json_with_nan_negative_zero_and_subnormal(self):
+        assert sha256(self.odd_values_track().to_json().encode("utf-8")) == \
+            "1d9a5e6a969a9228f44b606be5b98e5e5db6e29f4a7068bdd3c1f93a0b67181f"
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +458,32 @@ class TestCsvWriterOracle:
         frame = SensorFrame(timestamps=[1, 2], channel_names=("a,b", 'q"x'),
                             values=[[1.0, np.nan], [np.inf, -np.inf]])
         assert frame_to_csv(frame) == reference_frame_to_csv(frame)
+
+
+class TestTrackJsonOracle:
+    NAMES = ("window_open", 'q"x\\é', "person")  # out of sorted order; quote, backslash, non-ASCII
+    EDGE_PROBS = (0.0, 1.0, 5e-324, 1 - 2**-53)
+    EDGE_TIMESTAMPS = (-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1)
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_random_tracks_byte_identical(self, seed):
+        rng = np.random.default_rng(seed)
+        classes = self.NAMES[:seed % 4]
+        n = int(rng.integers(1, 60)) if seed % 5 else 0
+        probs = rng.random((len(classes), n))
+        edge = rng.random(probs.shape) < 0.3
+        probs[edge] = rng.choice(self.EDGE_PROBS, size=int(edge.sum()))
+        probs[rng.random(probs.shape) < 0.2] = np.nan
+        if classes and seed % 3 == 0:
+            probs[seed % len(classes)] = np.nan  # one class with no prediction anywhere
+        threshold = (0.5, 1)[seed % 2]
+        decs = np.where(np.isnan(probs), NO_PREDICTION, probs >= threshold).astype(np.int8)
+        timestamps = rng.integers(-2**63, 2**63 - 1, size=n, dtype=np.int64, endpoint=True)
+        timestamps[:4] = self.EDGE_TIMESTAMPS[:n]
+        track = PredictionTrack(timestamps, classes, probs, decs, threshold)
+        text = track.to_json()
+        assert text == reference_track_json(track)
+        assert PredictionTrack.from_json(text).to_json() == text
 
 
 class TestBuildWindowsOracle:

@@ -236,6 +236,46 @@ def test_named_damaged_inputs(stages, tmp_path, capsys):
         assert (got, named in err) == (code, True), (argv, err)
 
 
+def test_top_level_config_values_exit_1_naming_the_key(stages, tmp_path, capsys):
+    """Top-level values of the wrong JSON type: a traceback, exit 2 or a silent cast before."""
+    track = stages / "predict/track.json"
+    cases = [
+        ["smooth", "--set", f"track={track}", "--set", "width=[1]"],
+        ["smooth", "--set", f"track={track}", "--set", 'width="x"'],
+        ["smooth", "--set", f"track={track}", "--set", "width=2.9"],
+        ["sample", "--set", f"in={stages}/clean/clean.csv", "--set", "length=[1]"],
+        ["split", "--set", f"in={stages}/sample/windows", "--set", "ratios=5"],
+        ["synth", "--set", "fleet_devices=[1]"],
+        ["correlate", "--set", f"in={stages}/clean/clean.csv", "--set", "variables=5"],
+        ["predict", "--set", f"checkpoint={stages}/train/model", "--set", "length=5",
+         "--set", f"scaler={stages}/train/scaler.json", "--set", f"in={stages}/clean/clean.csv",
+         "--set", "expect_fingerprint=5"],
+        ["sample", "--set", f"in={stages}/clean/clean.csv", "--set", "features_file=5"],
+    ]
+    for argv in cases:
+        key = argv[-1].split("=")[0]
+        got, err = run([*argv, "--out", tmp_path / "out"], capsys)
+        assert (got, f"config key {key!r}" in err) == (1, True), (argv, err)
+    got, err = run(["smooth", "--set", f"track={track}", "--set", "out=5"], capsys)
+    assert (got, "config key 'out'" in err) == (1, True), err
+
+
+def test_track_with_impossible_probabilities_exits_2(stages, tmp_path, capsys):
+    doc = json.loads((stages / "predict/track.json").read_text())
+    name = doc["classes"][0]
+    decisions = doc["decisions"][name]
+    hit = next(i for i, d in enumerate(decisions) if d != -1)
+    miss = decisions.index(-1)
+    cases = [(hit, float("inf")), (hit, float("nan")), (miss, float("nan")), (hit, 1.5),
+             (hit, -0.25), (hit, None), (miss, 0.5)]
+    for i, value in cases:
+        bad = copy.deepcopy(doc)
+        bad["probabilities"][name][i] = value
+        path = write_json(tmp_path / "track.json", bad)  # json.dumps writes Infinity and NaN
+        got, err = run(["smooth", "--set", f"track={path}", "--out", tmp_path / "out"], capsys)
+        assert (got, f"probabilities.{name!r}" in err) == (2, True), (value, err)
+
+
 def test_console_stderr_has_no_traceback(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "roomsense", "synth", "--set",
                            'scenario={"bogus":1}', "--out", str(tmp_path)],
