@@ -15,7 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -240,38 +241,149 @@ class CsvSchema:
     rename: dict[str, str] = field(default_factory=dict)
 
 
-def _parse_timestamp(cell: str, row: int) -> int:
+# Cell grammar of the body, as csv reads it: whitespace other than a line
+# break, a blank cell (bare, or quoted and then padded), an all-blank row with
+# the line break before it, and a blank cell after a delimiter.
+_SPACE = r"[^\S\r\n]"
+_BLANK = rf'(?:"{_SPACE}*")?{_SPACE}*'
+_BLANK_ROW = re.compile(rf"\n(?:{_BLANK},)*{_BLANK}(?=[\r\n]|\Z)")
+_BLANK_CELL = re.compile(rf",{_BLANK}(?=[,\r\n]|\Z)")
+# a quoted cell that is still open at the end of its line
+_OPEN_QUOTE = re.compile(r'(?:^|,)"(?:[^"\n]|"")*$', re.M)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+# bytes that are not UTF-8, as decoded with errors="surrogateescape"
+_UNDECODED = re.compile("[\udc80-\udcff]")
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_timestamp(cell: str) -> int:
+    """Epoch seconds of a timestamp cell: a 64-bit integer or ISO-8601 (UTC if naive).
+
+    Raises ValueError naming the problem.
+    """
     cell = cell.strip()
     if not cell:
-        raise ParseError(f"row {row}: empty timestamp", row=row, column="timestamp")
-    try:
-        return int(cell)
-    except ValueError:
-        pass
+        raise ValueError("empty timestamp")
+    if _INTEGER.fullmatch(cell):
+        value = int(cell)
+        if not _INT64.min <= value <= _INT64.max:
+            raise ValueError(f"timestamp {cell} is outside the 64-bit range")
+        return value
     try:
         dt = datetime.fromisoformat(cell.replace("Z", "+00:00"))
     except ValueError:
-        raise ParseError(f"row {row}: unparseable timestamp {cell!r}",
-                         row=row, column="timestamp") from None
+        raise ValueError(f"unparseable timestamp {cell!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
+
+
+def _cell_fault(cell: str, kind: str) -> str | None:
+    """Why the reader refuses one cell of kind timestamp, channel or label, or None."""
+    if _UNDECODED.search(cell):
+        return "cell is not valid UTF-8"
+    if "\n" in cell or "\r" in cell:
+        return "line break inside a quoted cell"
+    cell = cell.strip()
+    if kind == "timestamp":
+        try:
+            _parse_timestamp(cell)
+        except ValueError as exc:
+            return str(exc)
+    elif kind == "label":
+        if not _INTEGER.fullmatch(cell):
+            return f"label cell must be a non-negative integer, got {cell!r}"
+        if int(cell) < 0:
+            return "label cell must be >= 0"
+        if int(cell) > _INT64.max:
+            return f"label cell {cell} is outside the 64-bit range"
+    elif cell and (not cell.isascii() or "_" in cell):
+        return f"unparseable cell {cell!r}"
+    elif cell:
+        try:
+            float(cell)
+        except ValueError:
+            return f"unparseable cell {cell!r}"
+    return None
+
+
+def _first_fault(text: str, header: list[str], channel_cols: list[str],
+                 label_cols: list[str]) -> ParseError:
+    """The error for the first row or cell of ``text`` that the reader refuses.
+
+    Only for a CSV that numpy's reader refused: rows are read one at a time,
+    and in each row the timestamp, then the channels, then the labels.
+    """
+    col_of = {name: i for i, name in enumerate(header)}
+    checks = [(0, "timestamp"), *((col_of[n], "channel") for n in channel_cols),
+              *((col_of[n], "label") for n in label_cols)]
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    row_i = 0
+    try:
+        for row_i, row in enumerate(reader, start=1):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                return ParseError(f"row {row_i}: expected {len(header)} cells, got {len(row)}",
+                                  row=row_i)
+            for j, kind in checks:
+                fault = _cell_fault(row[j], kind)
+                if fault:
+                    return ParseError(f"row {row_i}, column {header[j]!r}: {fault}",
+                                      row=row_i, column=header[j])
+    except csv.Error as exc:
+        return ParseError(f"row {row_i + 1}: {exc}", row=row_i + 1)
+    return ParseError("the CSV body could not be read, but no row was found at fault")
+
+
+def _read_table(body: str, dtype: np.dtype) -> np.ndarray | None:
+    """One structured row per data line of ``body``, or None if numpy's reader refuses it.
+
+    Blank cells become ``nan`` and all-blank rows empty lines first. Integer
+    timestamps are read in C; if that fails the body is read again with
+    ``_parse_timestamp`` converting the timestamp column, for ISO-8601.
+    """
+    body = _BLANK_CELL.sub(",nan", _BLANK_ROW.sub("\n", "\n" + body))
+    if not body.strip():
+        return np.empty(0, dtype)
+    if '"' in body and _OPEN_QUOTE.search(body):
+        return None
+    lines = body.split("\n")
+    for converters in (None, {0: _parse_timestamp}):
+        try:
+            with warnings.catch_warnings():
+                # numpy < 2.0 reads an integer cell such as 1.0 or 1e30 through
+                # a float, with only a DeprecationWarning
+                warnings.simplefilter("error", DeprecationWarning)
+                return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                                  comments=None, converters=converters, ndmin=1,
+                                  encoding="utf-8")
+        except (ValueError, OverflowError, DeprecationWarning):
+            continue
+    return None
 
 
 def parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
                 device_id: str = "") -> SensorFrame:
     """Parse a CSV byte stream into a SensorFrame.
 
-    Empty feature cells become NaN; rows are sorted by timestamp; duplicate
-    timestamps raise IntegrityError.
+    Blank cells (empty or whitespace, bare or quoted) become NaN and all-blank
+    rows are skipped; rows are sorted by timestamp; duplicate timestamps raise
+    IntegrityError. The body is read by numpy's C text reader. A short or long
+    row, or a cell it refuses, raises ParseError naming the row (1-based,
+    counting skipped rows) and the column.
     """
     schema = schema or CsvSchema()
-    text = csv_bytes.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
+    text = csv_bytes.decode("utf-8", "surrogateescape")
+    undecodable = not text.isascii() and _UNDECODED.search(text)
+    buf = io.StringIO(text)
     try:
-        header = next(reader)
+        header = next(csv.reader(buf))
     except StopIteration:
         raise SchemaError("empty CSV: no header row") from None
+    except csv.Error as exc:
+        raise SchemaError(f"header: {exc}") from None
     header = [schema.rename.get(h.strip(), h.strip()) for h in header]
     if not header or header[0] != schema.timestamp_column:
         raise SchemaError(
@@ -279,60 +391,38 @@ def parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
         )
     if len(set(header)) != len(header):
         raise SchemaError("duplicate column names in header")
+    if _UNDECODED.search(",".join(header)):
+        raise ParseError("header: not valid UTF-8")
     label_cols = [h for h in header[1:] if h in schema.label_columns]
     channel_cols = [h for h in header[1:] if h not in schema.label_columns]
 
-    ts_list: list[int] = []
-    rows: list[list[float]] = []
-    lab_rows: list[list[int]] = []
-    col_of = {name: header.index(name) for name in header}
-    for row_i, row in enumerate(reader, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"row {row_i}: expected {len(header)} cells, got {len(row)}",
-                             row=row_i)
-        ts_list.append(_parse_timestamp(row[0], row_i))
-        vals = []
-        for name in channel_cols:
-            cell = row[col_of[name]].strip()
-            if cell == "":
-                vals.append(math.nan)
-                continue
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                raise ParseError(f"row {row_i}, column {name!r}: unparseable cell {cell!r}",
-                                 row=row_i, column=name) from None
-        rows.append(vals)
-        labs = []
-        for name in label_cols:
-            cell = row[col_of[name]].strip()
-            try:
-                v = int(cell)
-            except ValueError:
-                raise ParseError(f"row {row_i}, column {name!r}: label cell must be a "
-                                 f"non-negative integer, got {cell!r}",
-                                 row=row_i, column=name) from None
-            if v < 0:
-                raise ParseError(f"row {row_i}, column {name!r}: label cell must be >= 0",
-                                 row=row_i, column=name)
-            labs.append(v)
-        lab_rows.append(labs)
-
-    ts = np.asarray(ts_list, dtype=np.int64)
-    if ts.size != np.unique(ts).size:
-        dupes = ts[np.concatenate([[False], np.diff(np.sort(ts)) == 0])]
-        raise IntegrityError(f"duplicate timestamps (e.g. {int(dupes[0]) if dupes.size else '?'})")
+    kinds = [np.int64] + [np.int64 if h in label_cols else np.float64 for h in header[1:]]
+    dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
+    table = None if undecodable else _read_table(text[buf.tell():], dtype)
+    if table is None:
+        raise _first_fault(text, header, channel_cols, label_cols)
+    ts = table["f0"]
     order = np.argsort(ts, kind="stable")
-    values = np.asarray(rows, dtype=np.float64).reshape(len(ts_list), len(channel_cols))
-    labels = np.asarray(lab_rows, dtype=np.int64).reshape(len(ts_list), len(label_cols))
+
+    def columns(names: list[str], kind: type) -> np.ndarray:
+        out = np.empty((len(names), len(ts)), dtype=kind)
+        for i, name in enumerate(names):
+            out[i] = table[f"f{header.index(name)}"][order]
+        return out
+
+    labels = columns(label_cols, np.int64)
+    if labels.size and labels.min() < 0:
+        raise _first_fault(text, header, channel_cols, label_cols)
+    ts = ts[order]
+    dupes = ts[1:][ts[1:] == ts[:-1]]
+    if dupes.size:
+        raise IntegrityError(f"duplicate timestamps (e.g. {int(dupes[0])})")
     return SensorFrame(
-        timestamps=ts[order],
+        timestamps=ts,
         channel_names=tuple(channel_cols),
-        values=values[order].T,
+        values=columns(channel_cols, np.float64),
         label_names=tuple(label_cols),
-        label_values=labels[order].T,
+        label_values=labels,
         device_id=device_id,
     )
 

@@ -117,6 +117,16 @@ class TestValidation:
         assert run(["clean", "--set", "in=/nonexistent.csv",
                     "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("row,where", [
+        (b"1700000120,410.5,99999999999999999999", "row 2, column 'person'"),
+        (b"17000\xff00120,410.5,1", "row 2, column 'timestamp'"),
+        (b"1700000120,41\xe9.5,0", "row 2, column 'co2'")])
+    def test_out_of_range_or_undecodable_cell_exit_2(self, tmp_path, capsys, row, where):
+        frame = tmp_path / "frame.csv"
+        frame.write_bytes(b"timestamp,co2,person\n1700000000,400.0,0\n" + row + b"\n")
+        assert run(["clean", "--set", f"in={frame}", "--out", str(tmp_path / "o")]) == 2
+        assert where in capsys.readouterr().err
+
     def test_fingerprint_mismatch_exit_2(self, chain, tmp_path):
         wrong = "0" * 64
         code = run(["eval", "--set", f"checkpoint={chain}/train/model",

@@ -15,10 +15,12 @@ import io
 import json
 import math
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
+from roomsense.errors import IntegrityError, ParseError, SchemaError
 from roomsense.evaluation import (
     NO_PREDICTION,
     PredictionTrack,
@@ -28,6 +30,7 @@ from roomsense.evaluation import (
 from roomsense.frames import (
     CSV_BLOCK_ROWS,
     STANDARD_CHANNELS,
+    CsvSchema,
     STANDARD_LABELS,
     SensorFrame,
     binarize_person,
@@ -57,6 +60,7 @@ from roomsense.synth import (
     generate_frame,
 )
 
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
 NINE = ("humidity", "temperature", "tvoc", "oxygen", "co2", "co", "pressure", "o3", "sound")
 
 
@@ -235,6 +239,105 @@ def reference_track_json(track: PredictionTrack) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def reference_parse_timestamp(cell: str, row: int) -> int:
+    cell = cell.strip()
+    if not cell:
+        raise ParseError(f"row {row}: empty timestamp", row=row, column="timestamp")
+    try:
+        value = int(cell)
+    except ValueError:
+        pass
+    else:
+        if not INT64_MIN <= value <= INT64_MAX:  # added with the typed range error
+            raise ParseError(f"row {row}: timestamp out of range", row=row, column="timestamp")
+        return value
+    try:
+        dt = datetime.fromisoformat(cell.replace("Z", "+00:00"))
+    except ValueError:
+        raise ParseError(f"row {row}: unparseable timestamp {cell!r}",
+                         row=row, column="timestamp") from None
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return int(dt.timestamp())
+
+
+def reference_parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
+                          device_id: str = "") -> SensorFrame:
+    """The per-cell row loop; the 64-bit range checks are the only additions."""
+    schema = schema or CsvSchema()
+    text = csv_bytes.decode("utf-8")
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty CSV: no header row") from None
+    header = [schema.rename.get(h.strip(), h.strip()) for h in header]
+    if not header or header[0] != schema.timestamp_column:
+        raise SchemaError(
+            f"first column must be {schema.timestamp_column!r}, got {header[:1]}"
+        )
+    if len(set(header)) != len(header):
+        raise SchemaError("duplicate column names in header")
+    label_cols = [h for h in header[1:] if h in schema.label_columns]
+    channel_cols = [h for h in header[1:] if h not in schema.label_columns]
+
+    ts_list: list[int] = []
+    rows: list[list[float]] = []
+    lab_rows: list[list[int]] = []
+    col_of = {name: header.index(name) for name in header}
+    for row_i, row in enumerate(reader, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"row {row_i}: expected {len(header)} cells, got {len(row)}",
+                             row=row_i)
+        ts_list.append(reference_parse_timestamp(row[0], row_i))
+        vals = []
+        for name in channel_cols:
+            cell = row[col_of[name]].strip()
+            if cell == "":
+                vals.append(math.nan)
+                continue
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise ParseError(f"row {row_i}, column {name!r}: unparseable cell {cell!r}",
+                                 row=row_i, column=name) from None
+        rows.append(vals)
+        labs = []
+        for name in label_cols:
+            cell = row[col_of[name]].strip()
+            try:
+                v = int(cell)
+            except ValueError:
+                raise ParseError(f"row {row_i}, column {name!r}: label cell must be a "
+                                 f"non-negative integer, got {cell!r}",
+                                 row=row_i, column=name) from None
+            if v < 0:
+                raise ParseError(f"row {row_i}, column {name!r}: label cell must be >= 0",
+                                 row=row_i, column=name)
+            if v > INT64_MAX:  # added with the typed range error
+                raise ParseError(f"row {row_i}, column {name!r}: label out of range",
+                                 row=row_i, column=name)
+            labs.append(v)
+        lab_rows.append(labs)
+
+    ts = np.asarray(ts_list, dtype=np.int64)
+    if ts.size != np.unique(ts).size:
+        raise IntegrityError("duplicate timestamps")
+    order = np.argsort(ts, kind="stable")
+    values = np.asarray(rows, dtype=np.float64).reshape(len(ts_list), len(channel_cols))
+    labels = np.asarray(lab_rows, dtype=np.int64).reshape(len(ts_list), len(label_cols))
+    return SensorFrame(
+        timestamps=ts[order],
+        channel_names=tuple(channel_cols),
+        values=values[order].T,
+        label_names=tuple(label_cols),
+        label_values=labels[order].T,
+        device_id=device_id,
+    )
+
+
 def reference_window_label(window_labels, position="first"):
     wl = np.asarray(window_labels, dtype=np.float64)
     if wl.ndim == 1:
@@ -317,6 +420,13 @@ class TestPinnedDigests:
     def test_missing_and_gap_scenario_csv(self):
         assert sha256(frame_to_csv(damaged_frame())) == \
             "f2ab48b945af438c07efe3ebb7fd1db87626cd20b19065e4481d82e95e837b0e"
+
+    def test_arrays_parsed_from_missing_and_gap_scenario_csv(self):
+        frame = parse_frame(frame_to_csv(damaged_frame()))
+        arrays = frame.timestamps.tobytes() + frame.values.tobytes() + \
+            frame.label_values.tobytes()
+        assert sha256(arrays) == \
+            "7074f29233bbc8103a06f578f301748276a54a5226924366f387e5b74e236d65"
 
     @pytest.mark.parametrize("position,y_digest", [
         ("first", "7c4960c108492e52c5dc8b55dfd41b4b0543bfbfc572b71f02f7c64434ffaf3e"),
@@ -484,6 +594,146 @@ class TestTrackJsonOracle:
         text = track.to_json()
         assert text == reference_track_json(track)
         assert PredictionTrack.from_json(text).to_json() == text
+
+
+# cell spellings the CSV contract accepts, and one damaged cell or row of each kind
+FLOAT_SPELLINGS = ("42", "-7", "+3", "007.50", ".5", "5.", "1e3", "1E-5", "-2.5e+07",
+                   "inf", "-Infinity", "+inf", "nan", "NaN", "-nan", "5e-324", "-0.0",
+                   "1.7976931348623157e308", "1e999")
+BLANK_SPELLINGS = ("", " ", "\t", "  ", '""', '" "', '"" ', "\xa0", "\u2003 ")
+PADDING = (" ", "\t", "\xa0", "\x0c", "\x1c", "\u2003")
+DAMAGE = ("float", "hash", "negative label", "float label", "overflow label",
+          "overflow timestamp", "short row", "long row", "duplicate timestamp")
+
+
+def random_cell(rng, kind: str, value) -> str:
+    if kind == "float":
+        if rng.random() < 0.15:
+            return str(rng.choice(BLANK_SPELLINGS))
+        u = rng.random()
+        if u < 0.3:
+            text = str(rng.choice(FLOAT_SPELLINGS))
+        elif u < 0.4:
+            text = f"{value:.3e}" if rng.random() < 0.5 else f"{value:g}"
+        else:
+            text = repr(value)
+    else:
+        text = str(value) if rng.random() < 0.9 else f"+{value:03d}"
+    if rng.random() < 0.15:
+        pad = str(rng.choice(PADDING))
+        text = pad + text + pad[::-1]
+    if rng.random() < 0.1:
+        text = f'"{text}"' + (" " if rng.random() < 0.3 else "")
+    return text
+
+
+def iso_timestamp(rng, t: int) -> str:
+    dt = datetime.fromtimestamp(t, tz=timezone.utc)
+    u = rng.random()
+    if u < 0.3:
+        return dt.isoformat()
+    if u < 0.5:
+        return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    if u < 0.7:
+        return dt.replace(tzinfo=None).isoformat(sep=" ")
+    return dt.astimezone(timezone(timedelta(hours=2))).isoformat()
+
+
+def random_csv(seed: int) -> bytes:
+    """A CSV in the contract's spellings, with one damaged cell or row in most."""
+    rng = np.random.default_rng(seed)
+    channels = [str(c) for c in rng.choice(STANDARD_CHANNELS, size=rng.integers(1, 6),
+                                           replace=False)]
+    labels = [str(c) for c in STANDARD_LABELS if rng.random() < 0.5]
+    columns = channels + labels
+    rng.shuffle(columns)
+    n = int(rng.integers(0, 25))
+    times = 1_600_000_000 + 120 * rng.permutation(n)
+    iso = rng.random() < 0.3
+    rows = []
+    for t in times.tolist():
+        cells = [iso_timestamp(rng, t) if iso and rng.random() < 0.7 else str(t)]
+        for name in columns:
+            if name in labels:
+                cells.append(random_cell(rng, "label", int(rng.integers(0, 5))))
+            else:
+                scale = 10.0 ** rng.integers(-310, 18)
+                cells.append(random_cell(rng, "float", float(rng.normal() * scale)))
+        rows.append(cells)
+    damage = str(rng.choice(DAMAGE)) if n and rng.random() < 0.6 else None
+    if damage:
+        cells = rows[int(rng.integers(n))]
+        label_at = [1 + j for j, name in enumerate(columns) if name in labels]
+        channel_at = [1 + j for j, name in enumerate(columns) if name not in labels]
+        if damage == "float":
+            cells[int(rng.choice(channel_at))] = str(rng.choice(["abc", "1.2.3", "--1", "1e"]))
+        elif damage == "hash":
+            cells[int(rng.choice(channel_at))] = str(rng.choice(["#2", "#", " #1.5"]))
+        elif damage.endswith("label") and label_at:
+            bad = {"negative label": "-1", "float label": "1.0",
+                   "overflow label": str(rng.choice(["9223372036854775808",
+                                                     "99999999999999999999"]))}[damage]
+            cells[int(rng.choice(label_at))] = bad
+        elif damage == "overflow timestamp":
+            cells[0] = str(rng.choice(["9223372036854775808", "-9223372036854775809"]))
+        elif damage == "short row":
+            cells.pop()
+        elif damage == "long row":
+            cells.append("1")
+        elif damage == "duplicate timestamp" and n > 1:
+            cells[0] = str(times[0])
+    lines = [",".join(cells) for cells in rows]
+    for _ in range(int(rng.integers(0, 3))):
+        blank = str(rng.choice(["", ",,", " , ", '"",""', "\t", "," * len(columns)]))
+        lines.insert(int(rng.integers(0, len(lines) + 1)), blank)
+    eol = "\r\n" if rng.random() < 0.3 else "\n"
+    text = eol.join([",".join(["timestamp", *columns]), *lines])
+    return (text + (eol if rng.random() < 0.8 else "")).encode("utf-8")
+
+
+def parse_outcome(parse, data: bytes):
+    try:
+        return parse(data)
+    except (ParseError, IntegrityError) as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+
+
+class TestParseFrameOracle:
+    @pytest.mark.parametrize("block", range(10))
+    def test_random_csvs_match_the_row_loop(self, block):
+        kinds = {"frame": 0, ParseError: 0, IntegrityError: 0}
+        for seed in range(60 * block, 60 * block + 60):
+            data = random_csv(seed)
+            new = parse_outcome(parse_frame, data)
+            old = parse_outcome(reference_parse_frame, data)
+            if isinstance(old, SensorFrame):
+                assert isinstance(new, SensorFrame), (seed, new)
+                assert_frames_identical(new, old)
+                assert new.values.view(np.int64).tobytes() == \
+                    old.values.view(np.int64).tobytes()
+                kinds["frame"] += 1
+            else:
+                assert new == old, seed
+                kinds[old[0]] += 1
+        assert all(kinds.values()), kinds
+
+    def test_every_damage_kind_is_covered(self):
+        seen = {str(np.random.default_rng(seed).choice(DAMAGE)) for seed in range(600)}
+        assert seen == set(DAMAGE)
+
+    @pytest.mark.parametrize("cell,column", [
+        ("1_000", "co2"), ("١٢", "co2"), ("１.５", "co2"), ("1_0", "person"),
+        ("٣", "person"), ("1_600_000_000", "timestamp"), ("١٦٠٠", "timestamp")])
+    def test_underscores_and_non_ascii_digits_are_refused(self, cell, column):
+        """The one place the C reader is stricter than ``float()`` and ``int()``."""
+        cells = {"timestamp": "1600000120", "co2": "400.5", "person": "1"}
+        cells[column] = cell
+        data = ("timestamp,co2,person\n1599999880,410.0,0\n"
+                + ",".join(cells.values()) + "\n").encode("utf-8")
+        assert isinstance(reference_parse_frame(data), SensorFrame)
+        with pytest.raises(ParseError) as err:
+            parse_frame(data)
+        assert (err.value.row, err.value.column) == (2, column)
 
 
 class TestBuildWindowsOracle:

@@ -6,6 +6,7 @@ import pytest
 from conftest import toy_frame
 from roomsense.errors import (
     ConfigError,
+    RoomsenseError,
     DegenerateDataError,
     IntegrityError,
     ParseError,
@@ -13,6 +14,7 @@ from roomsense.errors import (
 )
 from roomsense.frames import (
     CorrelationMatrix,
+    SensorFrame,
     binarize_person,
     frame_to_csv,
     interpolate_missing,
@@ -90,6 +92,65 @@ class TestParseFrame:
         again = parse_frame(frame_to_csv(frame))
         assert np.isnan(again.channel("a")[1])
         assert again.channel("a")[0] == 1.0
+
+    def test_no_data_rows_give_an_empty_frame_without_warning(self, recwarn):
+        for body in (b"", b"\n", b"\r\n,,\r\n", b' , ,"" \n\n'):
+            frame = parse_frame(b"timestamp,co2,person\n" + body)
+            assert len(frame) == 0 and frame.values.shape == (1, 0)
+            assert frame.label_values.shape == (1, 0)
+        assert not recwarn.list
+
+    def test_crlf_and_quoted_cells_parse_as_lf(self):
+        quoted = CSV_SMALL.replace(b"430.5", b'" 430.5 "').replace(b",0\n", b',"0"\n')
+        frame = parse_frame(quoted.replace(b"\n", b"\r\n"))
+        assert frame_to_csv(frame) == frame_to_csv(parse_frame(CSV_SMALL))
+
+    @pytest.mark.parametrize("cell,message", [
+        (b"99999999999999999999", "64-bit"), (b"\xff\xfe", "UTF-8"), (b"1.0", "integer"),
+        (b"1e3", "integer")])
+    def test_label_cell_errors_name_row_and_column(self, cell, message):
+        data = CSV_SMALL.replace(b"440.25,20.7,2,1", b"440.25,20.7,2," + cell)
+        with pytest.raises(ParseError, match=message) as err:
+            parse_frame(data)
+        assert (err.value.row, err.value.column) == (3, "window_open")
+
+    def test_timestamp_outside_int64_is_a_parse_error(self):
+        data = CSV_SMALL.replace(b"1700000120", b"-9223372036854775809")
+        with pytest.raises(ParseError) as err:
+            parse_frame(data)
+        assert (err.value.row, err.value.column) == (2, "timestamp")
+
+    def test_quoted_line_break_is_refused(self):
+        data = CSV_SMALL.replace(b"430.5", b'"430.5\n"')
+        with pytest.raises(ParseError) as err:
+            parse_frame(data)
+        assert (err.value.row, err.value.column) == (2, "co2")
+
+    def test_seeded_byte_mutations_give_a_frame_or_a_typed_error(self):
+        base = CSV_SMALL.replace(b"420.0", b"").replace(b"20.8", b'" 20.8"') + \
+            b"\n,,,,\n2022-07-01T00:00:00Z,400,20.5,0,0\n"
+        alphabet = b',"\r\n #\x00\xff\xc3-+_.eE0123456789\t\x0c'
+        rng = np.random.default_rng(20)
+        outcomes = {"frame": 0, "error": 0}
+        for _ in range(2000):
+            data = bytearray(base)
+            for _ in range(int(rng.integers(1, 4))):
+                at = int(rng.integers(0, len(data)))
+                op = rng.integers(4)
+                if op == 0:
+                    data[at] = alphabet[rng.integers(len(alphabet))]
+                elif op == 1:
+                    data.insert(at, alphabet[rng.integers(len(alphabet))])
+                elif op == 2:
+                    del data[at]
+                else:
+                    data[at:at] = data[at:at + int(rng.integers(1, 12))]
+            try:
+                assert isinstance(parse_frame(bytes(data)), SensorFrame)
+                outcomes["frame"] += 1
+            except RoomsenseError:
+                outcomes["error"] += 1
+        assert min(outcomes.values()) > 200, outcomes
 
 
 def scan_missing_runs(mask):
