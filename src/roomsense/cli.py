@@ -187,6 +187,12 @@ def _write_resolved(outdir: Path, command: str, cfg: dict) -> None:
            json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _write_track(outdir: Path, track: PredictionTrack) -> None:
+    json_text, csv_text = track.texts()
+    _write(outdir, "track.json", json_text)
+    _write(outdir, "track.csv", csv_text)
+
+
 def _load_frame(path: str) -> SensorFrame:
     return parse_frame(Path(path).read_bytes())
 
@@ -452,8 +458,7 @@ def cmd_predict(cfg: dict, outdir: Path) -> None:
     track = predict_timeline(model, frame, scaler, _value(cfg, "length", int),
                              cfg["position"], _value(cfg, "threshold", float),
                              _value(cfg, "max_gap_s", int))
-    _write(outdir, "track.json", track.to_json())
-    _write(outdir, "track.csv", track.to_csv())
+    _write_track(outdir, track)
     covered = int((track.decisions[0] >= 0).sum()) if len(track.class_names) else 0
     print(f"predicted {covered}/{len(track)} timestamps -> {outdir / 'track.json'}")
 
@@ -462,8 +467,7 @@ def cmd_smooth(cfg: dict, outdir: Path) -> None:
     track = PredictionTrack.from_json(
         Path(str(_require(cfg, "track"))).read_text(encoding="utf-8"))
     smoothed = smooth(track, _value(cfg, "width", int))
-    _write(outdir, "track.json", smoothed.to_json())
-    _write(outdir, "track.csv", smoothed.to_csv())
+    _write_track(outdir, smoothed)
     flipped = int((smoothed.decisions != track.decisions).sum())
     print(f"smoothing width {cfg['width']} flipped {flipped} decisions")
 
@@ -540,7 +544,8 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
-    except (RoomsenseError, OSError, json.JSONDecodeError, ValueError) as exc:
+    # a file that cannot be read, is not UTF-8 or is not JSON is a data error
+    except (RoomsenseError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

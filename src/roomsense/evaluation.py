@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, IntegrityError
-from .frames import SensorFrame, csv_rows, format_cells
+from .frames import CSV_BLOCK_ROWS, SensorFrame, csv_blocks
 from .pipeline import (
     DEFAULT_MAX_GAP_S,
     ScalerParams,
@@ -155,26 +155,55 @@ class PredictionTrack:
     def __len__(self) -> int:
         return self.timestamps.shape[0]
 
-    def to_json(self) -> str:
-        """The document ``json.dumps(doc, sort_keys=True, indent=2)`` writes for
-        this track, laid out from formatted cells: one value per line, ``null``
-        for no prediction, per-class objects in sorted class-name order."""
+    def texts(self) -> tuple[str, str]:
+        """The ``track.json`` and ``track.csv`` texts, from one ``format_cells``
+        call per column per block of ``CSV_BLOCK_ROWS`` rows.
+
+        ``track.json`` is the document ``json.dumps(doc, sort_keys=True,
+        indent=2)`` writes for this track: one value per line, ``null`` for
+        no prediction, per-class objects in sorted class-name order.
+        ``track.csv`` is written like a frame CSV: ``timestamp``, then a
+        ``prob_<class>``, ``decision_<class>`` pair per class, with an empty
+        cell for no prediction.
+        """
+        header = ["timestamp"]
+        columns = [self.timestamps]
+        for k, name in enumerate(self.class_names):
+            header += [f"prob_{name}", f"decision_{name}"]
+            columns += [self.probabilities[k], self.decisions[k]]
+        indents = ["  "] + ["    "] * (len(columns) - 1)  # where each JSON list opens
+        csv_text = [",".join(header) + "\n"]
+        json_blocks: list[list[str]] = [[] for _ in columns]
+        for lo, cells, rows_text in csv_blocks(columns):
+            csv_text.append(rows_text)
+            for column, column_cells, indent, blocks in zip(columns, cells, indents, json_blocks):
+                if column.dtype.kind == "f":  # a probability's empty cell is JSON's null
+                    for i in np.flatnonzero(np.isnan(column[lo:lo + CSV_BLOCK_ROWS])).tolist():
+                        column_cells[i] = "null"
+                blocks.append(f",\n{indent}  ".join(column_cells))
+        lists = [_json_layout(blocks, indent) for blocks, indent in zip(json_blocks, indents)]
         # a repeated class name keeps its last row, as a dict built in track order does
         rows = {name: k for k, name in enumerate(self.class_names)}
 
-        def per_class(table: np.ndarray) -> str:
-            return _json_layout([f"{json.dumps(name)}: "
-                                 f"{_json_layout(format_cells(table[k], 'null'), '    ')}"
+        def per_class(offset: int) -> str:
+            return _json_layout([f"{json.dumps(name)}: {lists[1 + 2 * k + offset]}"
                                  for name, k in sorted(rows.items())], "  ", "{}")
 
         fields = {  # in sorted key order
             "classes": _json_layout(list(map(json.dumps, self.class_names)), "  "),
-            "decisions": per_class(self.decisions),
-            "probabilities": per_class(self.probabilities),
+            "decisions": per_class(1),
+            "probabilities": per_class(0),
             "threshold": json.dumps(self.threshold),
-            "timestamps": _json_layout(format_cells(self.timestamps), "  "),
+            "timestamps": lists[0],
         }
-        return _json_layout([f'"{key}": {text}' for key, text in fields.items()], "", "{}") + "\n"
+        json_text = _json_layout([f'"{key}": {text}' for key, text in fields.items()], "", "{}")
+        return json_text + "\n", "".join(csv_text)
+
+    def to_json(self) -> str:
+        return self.texts()[0]
+
+    def to_csv(self) -> str:
+        return self.texts()[1]
 
     @staticmethod
     def from_json(text: str) -> "PredictionTrack":
@@ -214,14 +243,6 @@ class PredictionTrack:
         except OverflowError:
             raise IntegrityError("track key 'timestamps' must fit in 64 bits") from None
         return PredictionTrack(timestamps, names, probs, decs, doc.threshold)
-
-    def to_csv(self) -> str:
-        header = ["timestamp"]
-        columns = [self.timestamps]
-        for k, name in enumerate(self.class_names):
-            header += [f"prob_{name}", f"decision_{name}"]
-            columns += [self.probabilities[k], self.decisions[k]]
-        return ",".join(header) + "\n" + csv_rows(columns)
 
 
 def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: int,

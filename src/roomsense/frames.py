@@ -17,6 +17,7 @@ import io
 import json
 import re
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -427,9 +428,9 @@ def parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
     )
 
 
-def format_cells(column: np.ndarray, missing: str = "") -> list[str]:
+def format_cells(column: np.ndarray) -> list[str]:
     """Text cells of one column: ``str`` of each integer, ``repr`` of each
-    float with ``missing`` for NaN (the empty CSV cell by default).
+    float and the empty cell for NaN.
 
     For finite floats and integers these are also the JSON numbers that
     ``json.dumps`` writes.
@@ -438,21 +439,21 @@ def format_cells(column: np.ndarray, missing: str = "") -> list[str]:
         return list(map(str, column.tolist()))
     cells = list(map(repr, column.tolist()))
     for i in np.flatnonzero(np.isnan(column)).tolist():
-        cells[i] = missing
+        cells[i] = ""
     return cells
 
 
-def csv_rows(columns: list[np.ndarray]) -> str:
-    """Comma-joined data rows of equal-length 1-D columns, each ending in a newline.
+def csv_blocks(columns: list[np.ndarray]) -> Iterator[tuple[int, list[list[str]], str]]:
+    """Equal-length 1-D columns, ``CSV_BLOCK_ROWS`` rows at a time: the block's
+    first row, its cells column by column from one ``format_cells`` call per
+    column, and its comma-joined data rows, each ending in a newline.
 
-    Rows are formatted column by column, ``CSV_BLOCK_ROWS`` at a time.
+    The rows are joined before the block is yielded, so a caller may reuse
+    the cell lists.
     """
-    n = len(columns[0])
-    blocks = []
-    for lo in range(0, n, CSV_BLOCK_ROWS):
+    for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         cells = [format_cells(c[lo:lo + CSV_BLOCK_ROWS]) for c in columns]
-        blocks.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    return "".join(blocks)
+        yield lo, cells, "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def frame_to_csv(frame: SensorFrame) -> bytes:
@@ -460,7 +461,8 @@ def frame_to_csv(frame: SensorFrame) -> bytes:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(
         ["timestamp", *frame.channel_names, *frame.label_names])
-    buf.write(csv_rows([frame.timestamps, *frame.values, *frame.label_values]))
+    columns = [frame.timestamps, *frame.values, *frame.label_values]
+    buf.write("".join(rows for _, _, rows in csv_blocks(columns)))
     return buf.getvalue().encode("utf-8")
 
 

@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -97,7 +99,7 @@ class Rng:
     def integers(self, bound: int, size=None) -> np.ndarray | int:
         """Integers in [0, bound) via modulo (bias negligible for small bounds)."""
         if bound <= 0:
-            raise ValueError("bound must be positive")
+            raise ConfigError(f"integers bound must be positive, got {bound}")
         shape = () if size is None else size
         n = int(np.prod(shape)) if shape != () else 1
         out = (self.raw(n) % np.uint64(bound)).astype(np.int64)

@@ -1,9 +1,14 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from roomsense import frames
 from roomsense.cli import main
+from roomsense.evaluation import NO_PREDICTION, PredictionTrack
+from roomsense.frames import CSV_BLOCK_ROWS
 from roomsense.pipeline import WindowSet
 
 
@@ -88,6 +93,53 @@ class TestStageChain:
                     "--out", p("feat")]) == 0
         features = json.loads((chain / "feat/features.json").read_text())
         assert 1 <= len(features["features"]) <= 17
+
+
+class TestTrackWriter:
+    """``predict`` and ``smooth`` format each track column once per block,
+    for ``track.json`` and ``track.csv`` together."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        format_cells = frames.format_cells
+
+        def counted(column):
+            calls.append(len(column))
+            return format_cells(column)
+
+        monkeypatch.setattr(frames, "format_cells", counted)
+        return calls
+
+    @staticmethod
+    def one_pass(out: Path) -> int:
+        doc = json.loads((out / "track.json").read_text())
+        blocks = math.ceil(len(doc["timestamps"]) / CSV_BLOCK_ROWS)
+        return (1 + 2 * len(doc["classes"])) * blocks
+
+    def test_smooth(self, tmp_path, calls):
+        n = 2 * CSV_BLOCK_ROWS + 7
+        probs = np.random.default_rng(0).random((2, n))
+        probs[:, ::5] = np.nan
+        decs = np.where(np.isnan(probs), NO_PREDICTION, probs >= 0.5).astype(np.int8)
+        track = PredictionTrack(120 * np.arange(n), ("person", "window_open"), probs, decs, 0.5)
+        json_text, csv_text = track.texts()
+        (tmp_path / "track.json").write_text(json_text)
+        calls.clear()
+        out = tmp_path / "smooth"
+        assert run(["smooth", "--set", f"track={tmp_path}/track.json", "--set", "width=1",
+                    "--out", str(out)]) == 0
+        assert len(calls) == self.one_pass(out) == 5 * 3
+        # width 1 flips nothing, so both texts come back unchanged
+        assert (out / "track.json").read_text() == json_text
+        assert (out / "track.csv").read_text() == csv_text
+
+    def test_predict(self, chain, tmp_path, calls):
+        out = tmp_path / "predict"
+        assert run(["predict", "--set", f"checkpoint={chain}/train/model",
+                    "--set", f"scaler={chain}/train/scaler.json",
+                    "--set", f"in={chain}/clean/clean.csv", "--out", str(out)]) == 0
+        assert len(calls) == self.one_pass(out) > 0
 
 
 class TestValidation:

@@ -595,6 +595,23 @@ class TestTrackJsonOracle:
         assert text == reference_track_json(track)
         assert PredictionTrack.from_json(text).to_json() == text
 
+    @pytest.mark.parametrize("n", [0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                   2 * CSV_BLOCK_ROWS + 7])
+    def test_both_texts_across_blocks(self, n):
+        rng = np.random.default_rng(n)
+        classes = ("person", *self.NAMES)  # "person" twice: JSON keeps the last row
+        probs = rng.random((len(classes), n))
+        probs[rng.random(probs.shape) < 0.1] = np.nan
+        for edge in range(CSV_BLOCK_ROWS, n, CSV_BLOCK_ROWS):
+            probs[1, edge - 1] = probs[2, edge] = np.nan  # no prediction on each side
+            probs[3, edge - 1:edge + 1] = np.nan           # and on both
+        probs[3, -1:] = np.nan
+        decs = np.where(np.isnan(probs), NO_PREDICTION, probs >= 0.5).astype(np.int8)
+        track = PredictionTrack(1_700_000_000 + 120 * np.arange(n), classes, probs, decs, 0.5)
+        json_text, csv_text = track.texts()
+        assert json_text == reference_track_json(track)
+        assert csv_text == reference_track_csv(track)
+
 
 # cell spellings the CSV contract accepts, and one damaged cell or row of each kind
 FLOAT_SPELLINGS = ("42", "-7", "+3", "007.50", ".5", "5.", "1e3", "1E-5", "-2.5e+07",

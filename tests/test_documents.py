@@ -284,6 +284,18 @@ def test_console_stderr_has_no_traceback(tmp_path):
     assert "'bogus'" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flag", ["--config", "track"])
+def test_non_utf8_file_exits_2_without_traceback(tmp_path, flag):
+    path = tmp_path / "input.json"
+    path.write_bytes(b'{"width": 3\xff}')
+    where = ["--config", str(path)] if flag == "--config" else ["--set", f"track={path}"]
+    proc = subprocess.run([sys.executable, "-m", "roomsense", "smooth", *where,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "utf-8" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_pca_model_round_trip_and_damage():
     model = pca_fit(Rng(10).normal(size=(30, 3)) * np.array([3, 1, 0.5]))
     again = PcaModel.from_json(model.to_json())

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from roomsense.errors import ConfigError
 from roomsense.rng import Rng, derive_seed
 
 
@@ -50,6 +52,12 @@ def test_permutation_matches_documented_argsort_rule():
 def test_integers_bounds():
     v = Rng(2).integers(7, size=(500,))
     assert v.min() >= 0 and v.max() < 7
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_integers_refuses_an_empty_range(bound):
+    with pytest.raises(ConfigError, match="bound"):
+        Rng(2).integers(bound)
 
 
 def test_derive_seed_children_are_independent():
