@@ -78,7 +78,7 @@ from .search import (
     random_search,
     trials_to_json,
 )
-from .schema import read
+from .schema import read, read_document
 from .synth import ScenarioConfig, bundled_scenario, generate_fleet, generate_frame
 from .training import TrainConfig, train_autoencoder, train_classifier
 
@@ -135,8 +135,8 @@ def resolve_config(command: str, config_path: str | None, overrides: list[str],
     resolved = {k: (json.loads(json.dumps(v)) if isinstance(v, (dict, list)) else v)
                 for k, v in known.items()}
     if config_path:
-        try:
-            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        try:  # the text only: a config file that is not JSON is a config error
+            loaded = json.loads(read_document(config_path, "config file", parse=str))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {config_path}") from None
         except json.JSONDecodeError as e:
@@ -166,6 +166,12 @@ def _require(cfg: dict, key: str) -> object:
     if cfg.get(key) in (None, ""):
         raise ConfigError(f"missing required config key {key!r}")
     return cfg[key]
+
+
+def _document(cfg: dict, key: str, cls):
+    """``cls.from_json`` of the text of the file that config key ``key`` names."""
+    _require(cfg, key)
+    return read_document(_value(cfg, key, str), f"config key {key!r} file", cls.from_json)
 
 
 def _value(cfg: dict, key: str, tp):
@@ -280,8 +286,7 @@ def cmd_correlate(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_select_features(cfg: dict, outdir: Path) -> None:
-    matrix = CorrelationMatrix.from_json(
-        Path(str(_require(cfg, "correlation"))).read_text(encoding="utf-8"))
+    matrix = _document(cfg, "correlation", CorrelationMatrix)
     features = select_features(matrix, _value(cfg, "pair_threshold", float),
                                _value(cfg, "classes", tuple[str, ...]))
     _write(outdir, "features.json", features.to_json())
@@ -293,8 +298,7 @@ def cmd_sample(cfg: dict, outdir: Path) -> None:
     if cfg["channels"]:
         channels = _value(cfg, "channels", list[str])
     elif cfg["features_file"]:
-        channels = list(FeatureSet.from_json(
-            Path(_value(cfg, "features_file", str)).read_text(encoding="utf-8")).names)
+        channels = list(_document(cfg, "features_file", FeatureSet).names)
     else:
         channels = list(frame.channel_names)
     windows = build_windows(frame, channels, _value(cfg, "length", int),
@@ -418,8 +422,7 @@ def cmd_pretrain_ae(cfg: dict, outdir: Path) -> None:
 
 def cmd_train_head(cfg: dict, outdir: Path) -> None:
     ckpt = load_checkpoint(str(_require(cfg, "encoder")))
-    scaler = ScalerParams.from_json(
-        Path(str(_require(cfg, "scaler"))).read_text(encoding="utf-8"))
+    scaler = _document(cfg, "scaler", ScalerParams)
     train_w = WindowSet.load(str(_require(cfg, "train_windows")))
     valid_w = WindowSet.load(str(_require(cfg, "valid_windows")))
     seed = _value(cfg, "seed", int)
@@ -437,8 +440,7 @@ def cmd_train_head(cfg: dict, outdir: Path) -> None:
 def cmd_eval(cfg: dict, outdir: Path) -> None:
     model = model_from_checkpoint(str(_require(cfg, "checkpoint")),
                                   _value(cfg, "expect_fingerprint", str | None))
-    scaler = ScalerParams.from_json(
-        Path(str(_require(cfg, "scaler"))).read_text(encoding="utf-8"))
+    scaler = _document(cfg, "scaler", ScalerParams)
     windows = transform(scaler, WindowSet.load(str(_require(cfg, "windows"))))
     metrics, confusions = evaluate(model, windows, _value(cfg, "threshold", float))
     _write(outdir, "metrics.json", metrics.to_json())
@@ -452,8 +454,7 @@ def cmd_eval(cfg: dict, outdir: Path) -> None:
 def cmd_predict(cfg: dict, outdir: Path) -> None:
     model = model_from_checkpoint(str(_require(cfg, "checkpoint")),
                                   _value(cfg, "expect_fingerprint", str | None))
-    scaler = ScalerParams.from_json(
-        Path(str(_require(cfg, "scaler"))).read_text(encoding="utf-8"))
+    scaler = _document(cfg, "scaler", ScalerParams)
     frame = _load_frame(str(_require(cfg, "in")))
     track = predict_timeline(model, frame, scaler, _value(cfg, "length", int),
                              cfg["position"], _value(cfg, "threshold", float),
@@ -464,8 +465,7 @@ def cmd_predict(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_smooth(cfg: dict, outdir: Path) -> None:
-    track = PredictionTrack.from_json(
-        Path(str(_require(cfg, "track"))).read_text(encoding="utf-8"))
+    track = _document(cfg, "track", PredictionTrack)
     smoothed = smooth(track, _value(cfg, "width", int))
     _write_track(outdir, smoothed)
     flipped = int((smoothed.decisions != track.decisions).sum())
@@ -475,8 +475,7 @@ def cmd_smooth(cfg: dict, outdir: Path) -> None:
 def cmd_pca(cfg: dict, outdir: Path) -> None:
     model = model_from_checkpoint(str(_require(cfg, "checkpoint")),
                                   _value(cfg, "expect_fingerprint", str | None))
-    scaler = ScalerParams.from_json(
-        Path(str(_require(cfg, "scaler"))).read_text(encoding="utf-8"))
+    scaler = _document(cfg, "scaler", ScalerParams)
     windows = transform(scaler, WindowSet.load(str(_require(cfg, "windows"))))
     features = feature_matrix(model, windows.X)
     pca = pca_fit(features)
@@ -544,8 +543,8 @@ def main(argv: list[str] | None = None) -> int:
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
-    # a file that cannot be read, is not UTF-8 or is not JSON is a data error
-    except (RoomsenseError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # a file that cannot be read is a data error
+    except (RoomsenseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,11 @@
-"""Checkpoint format: JSON manifest + little-endian float64 buffer blob.
+"""Checkpoints: a ``roomsense.container`` whose header is the manifest.
 
-``save_checkpoint(path, ...)`` writes ``<path>.json`` (architecture config,
-its fingerprint, buffer names/shapes/flags, the blob's SHA-256, seed, step)
-and ``<path>.bin`` (the named buffers concatenated in manifest order as
-little-endian float64). The round trip is bit-exact; ``load_checkpoint``
-reads the manifest as a ``Manifest`` (every key present with its JSON type),
-recomputes the architecture fingerprint and checks the blob's length and hash
-before reading any buffer.
+``save_checkpoint(path, ...)`` writes the manifest (architecture config, its
+fingerprint, buffer names/shapes/flags, seed, step and ``blob_sha256``) to
+``<path>.json`` and the buffers in manifest order as little-endian float64 to
+``<path>.bin``; the round trip is bit-exact. ``load_checkpoint`` lets the
+container check the manifest's keys and the blob before it reads any buffer,
+then recomputes the architecture fingerprint.
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import container
 from ..errors import IntegrityError
-from ..schema import read
 from .params import ParamStore
 
 
@@ -40,25 +39,11 @@ class Checkpoint:
 
 def save_checkpoint(path: str | Path, arch: dict, store: ParamStore,
                     seed: int = 0, step: int = 0) -> None:
-    path = Path(path)
-    entries = []
-    chunks = []
-    for p in store:
-        entries.append({"name": p.name, "shape": list(p.value.shape),
-                        "trainable": p.trainable})
-        chunks.append(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
-    blob = b"".join(chunks)
-    manifest = {
-        "architecture": arch,
-        "fingerprint": architecture_fingerprint(arch),
-        "buffers": entries,
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
-        "seed": seed,
-        "step": step,
-    }
-    path.with_suffix(".json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    path.with_suffix(".bin").write_bytes(blob)
+    buffers = [{"name": p.name, "shape": list(p.value.shape), "trainable": p.trainable}
+               for p in store]
+    container.save(path, {"architecture": arch, "fingerprint": architecture_fingerprint(arch),
+                          "buffers": buffers, "seed": seed, "step": step},
+                   [p.value for p in store])
 
 
 @dataclass(frozen=True)
@@ -81,38 +66,15 @@ class Manifest:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    path = Path(path)
-    manifest = read(Manifest, json.loads(path.with_suffix(".json").read_text(encoding="utf-8")),
-                    "checkpoint manifest", IntegrityError)
+    manifest, values = container.load(path, Manifest, "checkpoint manifest",
+                                      lambda m: [("<f8", entry.shape) for entry in m.buffers])
     fingerprint = architecture_fingerprint(manifest.architecture)
     if fingerprint != manifest.fingerprint:
         raise IntegrityError("checkpoint architecture does not match the manifest's 'fingerprint'")
-    for i, entry in enumerate(manifest.buffers):
-        if min(entry.shape, default=0) < 0:
-            raise IntegrityError(f"checkpoint manifest key buffers[{i}].shape is negative")
-    blob = path.with_suffix(".bin").read_bytes()
-    sizes = [int(np.prod(entry.shape)) for entry in manifest.buffers]
-    if len(blob) != 8 * sum(sizes):
-        raise IntegrityError(
-            f"checkpoint blob has {len(blob)} bytes, manifest expects {8 * sum(sizes)}")
-    if hashlib.sha256(blob).hexdigest() != manifest.blob_sha256:
-        raise IntegrityError("checkpoint blob does not match the manifest's blob_sha256")
-    data = np.frombuffer(blob, dtype="<f8")
-    buffers: dict[str, np.ndarray] = {}
-    trainable: dict[str, bool] = {}
-    offset = 0
-    for entry, size in zip(manifest.buffers, sizes):
-        buffers[entry.name] = data[offset:offset + size].reshape(entry.shape).copy()
-        trainable[entry.name] = entry.trainable
-        offset += size
-    return Checkpoint(
-        arch=manifest.architecture,
-        buffers=buffers,
-        trainable=trainable,
-        seed=manifest.seed,
-        step=manifest.step,
-        fingerprint=fingerprint,
-    )
+    names = [entry.name for entry in manifest.buffers]
+    return Checkpoint(arch=manifest.architecture, buffers=dict(zip(names, values)),
+                      trainable={entry.name: entry.trainable for entry in manifest.buffers},
+                      seed=manifest.seed, step=manifest.step, fingerprint=fingerprint)
 
 
 def restore_into(store: ParamStore, ckpt: Checkpoint) -> None:

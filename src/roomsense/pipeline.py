@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import container
 from .errors import ConfigError, DegenerateDataError, IntegrityError, SchemaError, SplitError
 from .frames import SensorFrame
 from .rng import Rng
@@ -88,59 +89,27 @@ class WindowSet:
         )
 
     def save(self, path: str | Path) -> None:
-        """Write the binary container: <path>.bin payload + <path>.json header.
-
-        Payload layout (little-endian float64, concatenated): X flat, Y flat,
-        start timestamps, then start indices (or empty).
-        """
-        path = Path(path)
-        idx = (np.zeros(0) if self.start_indices is None
-               else np.asarray(self.start_indices, dtype=np.float64))
-        blob = b"".join(
-            np.ascontiguousarray(a, dtype="<f8").tobytes()
-            for a in (self.X, self.Y, self.start_timestamps.astype(np.float64), idx)
-        )
-        header = {
-            "x_shape": list(self.X.shape),
-            "y_shape": list(self.Y.shape),
-            "channel_names": list(self.channel_names),
-            "class_names": list(self.class_names),
-            "label_position": self.label_position,
-            "has_start_indices": self.start_indices is not None,
-            "scaler_note": self.scaler_note,
-        }
-        path.with_suffix(".bin").write_bytes(blob)
-        path.with_suffix(".json").write_text(
-            json.dumps(header, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        """Write a ``roomsense.container``: the header holds the shapes, names,
+        label position and scaler note; the blob holds X and Y as float64, then
+        the start timestamps and start indices (none if absent) as int64."""
+        idx = np.zeros(0, np.int64) if self.start_indices is None else self.start_indices
+        header = {"x_shape": list(self.X.shape), "y_shape": list(self.Y.shape),
+                  "channel_names": list(self.channel_names),
+                  "class_names": list(self.class_names), "label_position": self.label_position,
+                  "has_start_indices": self.start_indices is not None,
+                  "scaler_note": self.scaler_note}
+        container.save(path, header,
+                       [self.X, self.Y, self.start_timestamps, np.asarray(idx, np.int64)])
 
     @staticmethod
     def load(path: str | Path) -> "WindowSet":
-        path = Path(path)
-        h = read(_WindowSidecar, json.loads(path.with_suffix(".json").read_text(encoding="utf-8")),
-                 "window-set sidecar", IntegrityError)
-        blob = path.with_suffix(".bin").read_bytes()
-        xs = int(np.prod(h.x_shape))
-        ys = int(np.prod(h.y_shape))
-        n = h.x_shape[0]
-        expected = 8 * (xs + ys + n * (2 if h.has_start_indices else 1))
-        if len(blob) != expected:
-            raise IntegrityError(
-                f"window-set blob has {len(blob)} bytes, header expects {expected}")
-        data = np.frombuffer(blob, dtype="<f8")
-        X = data[:xs].reshape(h.x_shape)
-        Y = data[xs:xs + ys].reshape(h.y_shape)
-        ts = data[xs + ys:xs + ys + n].astype(np.int64)
-        rest = data[xs + ys + n:]
-        idx = rest.astype(np.int64) if h.has_start_indices and rest.size else None
-        return WindowSet(
-            X=X.copy(), Y=Y.copy(),
-            channel_names=h.channel_names,
-            class_names=h.class_names,
-            start_timestamps=ts,
-            label_position=h.label_position,
-            start_indices=idx,
-            scaler_note=h.scaler_note,
-        )
+        h, (X, Y, ts, idx) = container.load(path, _WindowSidecar, "window-set sidecar", lambda h: [
+            ("<f8", h.x_shape), ("<f8", h.y_shape), ("<i8", h.x_shape[:1]),
+            ("<i8", h.x_shape[:1] if h.has_start_indices else (0,))])
+        return WindowSet(X=X, Y=Y, channel_names=h.channel_names, class_names=h.class_names,
+                         start_timestamps=ts, label_position=h.label_position,
+                         start_indices=idx if h.has_start_indices else None,
+                         scaler_note=h.scaler_note)
 
 
 @dataclass(frozen=True)
@@ -151,6 +120,7 @@ class _WindowSidecar:
     class_names: tuple[str, ...]
     label_position: str
     has_start_indices: bool
+    blob_sha256: str
     scaler_note: str = ""
 
 

@@ -13,13 +13,15 @@ float also takes a JSON int.
 
 from __future__ import annotations
 
+import json
 import reprlib
 import types
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
+from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, IntegrityError
 
 _SCALARS = {int: {int}, float: {int, float}, str: {str}, bool: {bool}, type(None): {type(None)}}
 
@@ -86,3 +88,13 @@ def read(tp, value, what: str, error: type[Exception] = ConfigError,
         value = {k: read(item, v, what, error, complete, f"{path}.{k!r}" if path else repr(k))
                  for k, v in value.items()}
     return tuple(value) if origin is tuple else value
+
+
+def read_document(path: str | Path, what: str, parse=json.loads):
+    """``parse`` of the UTF-8 text at ``path``. Bytes that are not UTF-8, and
+    text ``parse`` finds is not JSON, raise IntegrityError naming ``what`` and
+    the path; the message keeps the decoder's own text."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IntegrityError(f"{what} {path} is not UTF-8 JSON: {exc}") from None

@@ -284,16 +284,32 @@ def test_console_stderr_has_no_traceback(tmp_path):
     assert "'bogus'" in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("flag", ["--config", "track"])
-def test_non_utf8_file_exits_2_without_traceback(tmp_path, flag):
+@pytest.mark.parametrize("flag", ["--config", "track", "scaler", "correlation", "features_file",
+                                  "checkpoint", "windows"])
+def test_non_utf8_file_exits_2_without_traceback(stages, tmp_path, flag):
     path = tmp_path / "input.json"
     path.write_bytes(b'{"width": 3\xff}')
-    where = ["--config", str(path)] if flag == "--config" else ["--set", f"track={path}"]
-    proc = subprocess.run([sys.executable, "-m", "roomsense", "smooth", *where,
+    stem = tmp_path / "input"  # a checkpoint or window set whose header is the bad file
+    fit = {"checkpoint": stages / "train/model", "scaler": stages / "train/scaler.json",
+           "windows": stages / "sample/windows"}
+    command, given = {
+        "--config": ("smooth", {}),
+        "track": ("smooth", {"track": path}),
+        "scaler": ("eval", {**fit, "scaler": path}),
+        "correlation": ("select-features", {"correlation": path}),
+        "features_file": ("sample", {"in": stages / "clean/clean.csv", "length": 5,
+                                     "features_file": path}),
+        "checkpoint": ("eval", {**fit, "checkpoint": stem}),
+        "windows": ("eval", {**fit, "windows": stem}),
+    }[flag]
+    where = ["--config", str(path)] if flag == "--config" else [
+        arg for key, value in given.items() for arg in ("--set", f"{key}={value}")]
+    proc = subprocess.run([sys.executable, "-m", "roomsense", command, *where,
                            "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "utf-8" in proc.stderr and "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr, proc.stderr
 
 
 def test_pca_model_round_trip_and_damage():

@@ -206,6 +206,17 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ck", {"kind": "x"}, self.build_store())
         return tmp_path / "ck.bin"
 
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        import hashlib
+        save_checkpoint(tmp_path / "ck", {"kind": "fcn", "filters": [16, 32]},
+                        self.build_store(), seed=5, step=17)
+        digests = {suffix: hashlib.sha256((tmp_path / f"ck{suffix}").read_bytes()).hexdigest()
+                   for suffix in (".json", ".bin")}
+        assert digests == {
+            ".json": "324e6e9ce7417630b0fd56b13aab95ac9cc0edd44462eae429fc9c9683d75d76",
+            ".bin": "1ebc73b90fecb1f39dbc5fec6f13aaf97c7712ca0cd33106c293ed1402f254bf",
+        }
+
     def test_manifest_carries_blob_sha256(self, tmp_path):
         import hashlib
         import json

@@ -374,10 +374,45 @@ class TestBuildWindows:
         assert again.label_position == ws.label_position
 
     @pytest.mark.parametrize("damage", [lambda b: b[:-3], lambda b: b[:-8],
-                                        lambda b: b + b"\x00" * 8])
+                                        lambda b: b + b"\x00" * 8,
+                                        lambda b: b[:len(b) // 2]])
     def test_container_wrong_blob_length_is_integrity_error(self, tmp_path, damage):
         build_windows(self.frame_with_gap(), ["a"], length=4).save(tmp_path / "w")
         blob = tmp_path / "w.bin"
         blob.write_bytes(damage(blob.read_bytes()))
         with pytest.raises(IntegrityError, match="bytes"):
+            WindowSet.load(tmp_path / "w")
+
+    def test_container_flipped_byte_is_integrity_error(self, tmp_path):
+        build_windows(self.frame_with_gap(), ["a"], length=4).save(tmp_path / "w")
+        blob = tmp_path / "w.bin"
+        data = bytearray(blob.read_bytes())
+        data[7] ^= 0x40  # exponent byte of the first value of X
+        blob.write_bytes(bytes(data))
+        with pytest.raises(IntegrityError, match="blob_sha256"):
+            WindowSet.load(tmp_path / "w")
+
+    @pytest.mark.parametrize("indices", [True, False])
+    def test_container_int64_round_trip_is_exact(self, tmp_path, indices):
+        # float64 holds integers exactly only up to 2**53
+        extremes = [2**53 + 1, np.iinfo(np.int64).min, np.iinfo(np.int64).max]
+        ws = small_windows(3)
+        ws.start_timestamps = np.array(extremes, dtype=np.int64)
+        ws.start_indices = np.array(extremes[::-1], dtype=np.int64) if indices else None
+        ws.save(tmp_path / "w")
+        again = WindowSet.load(tmp_path / "w")
+        assert again.start_timestamps.tolist() == extremes
+        if indices:
+            assert again.start_indices.tolist() == extremes[::-1]
+        else:
+            assert again.start_indices is None
+
+    def test_container_without_blob_sha256_is_refused(self, tmp_path):
+        import json
+        build_windows(self.frame_with_gap(), ["a"], length=4).save(tmp_path / "w")
+        sidecar = tmp_path / "w.json"
+        doc = json.loads(sidecar.read_text())
+        del doc["blob_sha256"]  # a sidecar as written before the blob was hashed
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(IntegrityError, match="'blob_sha256'"):
             WindowSet.load(tmp_path / "w")
