@@ -2,7 +2,6 @@
 
 from .frames import (
     CorrelationMatrix,
-    CsvSchema,
     FeatureSet,
     MissingReport,
     STANDARD_CHANNELS,

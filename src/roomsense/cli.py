@@ -168,10 +168,15 @@ def _require(cfg: dict, key: str) -> object:
     return cfg[key]
 
 
+def _path(cfg: dict, key: str) -> str:
+    """The file path that required config key ``key`` holds, checked as a string."""
+    _require(cfg, key)
+    return _value(cfg, key, str)
+
+
 def _document(cfg: dict, key: str, cls):
     """``cls.from_json`` of the text of the file that config key ``key`` names."""
-    _require(cfg, key)
-    return read_document(_value(cfg, key, str), f"config key {key!r} file", cls.from_json)
+    return read_document(_path(cfg, key), f"config key {key!r} file", cls.from_json)
 
 
 def _value(cfg: dict, key: str, tp):
@@ -256,7 +261,7 @@ def cmd_synth(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_clean(cfg: dict, outdir: Path) -> None:
-    frame = _load_frame(str(_require(cfg, "in")))
+    frame = _load_frame(_path(cfg, "in"))
     before = missing_report(frame)
     frame = interpolate_missing(frame, cfg["edge_policy"])
     if _value(cfg, "binarize", bool) and "person" in frame.label_names:
@@ -269,14 +274,14 @@ def cmd_clean(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_report_missing(cfg: dict, outdir: Path) -> None:
-    report = missing_report(_load_frame(str(_require(cfg, "in"))))
+    report = missing_report(_load_frame(_path(cfg, "in")))
     _write(outdir, "missing.json", report.to_json())
     total = sum(report.counts)
     print(f"{total} missing cells over {report.total_rows} rows -> {outdir / 'missing.json'}")
 
 
 def cmd_correlate(cfg: dict, outdir: Path) -> None:
-    frame = _load_frame(str(_require(cfg, "in")))
+    frame = _load_frame(_path(cfg, "in"))
     variables = (_value(cfg, "variables", list[str]) if cfg["variables"]
                  else [*frame.channel_names, *frame.label_names])
     matrix = pearson_matrix(frame, variables)
@@ -294,7 +299,7 @@ def cmd_select_features(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_sample(cfg: dict, outdir: Path) -> None:
-    frame = _load_frame(str(_require(cfg, "in")))
+    frame = _load_frame(_path(cfg, "in"))
     if cfg["channels"]:
         channels = _value(cfg, "channels", list[str])
     elif cfg["features_file"]:
@@ -312,16 +317,16 @@ def cmd_sample(cfg: dict, outdir: Path) -> None:
 
 def cmd_split(cfg: dict, outdir: Path) -> None:
     if cfg["mode"] == "random":
-        windows = WindowSet.load(str(_require(cfg, "in")))
-        spec = SplitSpec(ratios=_value(cfg, "ratios", tuple[float, ...]),
+        spec = SplitSpec(ratios=_value(cfg, "ratios", tuple[float, float, float]),
                          seed=_value(cfg, "seed", int))
+        windows = WindowSet.load(_path(cfg, "in"))
         train, valid, test = split_random(windows, spec)
         train.save(outdir / "train")
         valid.save(outdir / "valid")
         test.save(outdir / "test")
         print(f"split {len(windows)} windows -> {len(train)}/{len(valid)}/{len(test)}")
     elif cfg["mode"] == "time":
-        frame = _load_frame(str(_require(cfg, "in")))
+        frame = _load_frame(_path(cfg, "in"))
         _require(cfg, "cut_timestamp")
         cut = _value(cfg, "cut_timestamp", int)
         train, test = split_time(frame, cut)
@@ -344,8 +349,8 @@ def _model_arch(cfg_model: dict, windows: WindowSet) -> dict:
 
 
 def cmd_train(cfg: dict, outdir: Path) -> None:
-    train_w = WindowSet.load(str(_require(cfg, "train_windows")))
-    valid_w = WindowSet.load(str(_require(cfg, "valid_windows")))
+    train_w = WindowSet.load(_path(cfg, "train_windows"))
+    valid_w = WindowSet.load(_path(cfg, "valid_windows"))
     seed = _value(cfg, "seed", int)
     arch = _model_arch(_require(cfg, "model"), train_w)
     scaler = fit_scaler(cfg["scaler_kind"], train_w)
@@ -363,8 +368,8 @@ def cmd_train(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_tune(cfg: dict, outdir: Path) -> None:
-    train_w = WindowSet.load(str(_require(cfg, "train_windows")))
-    valid_w = WindowSet.load(str(_require(cfg, "valid_windows")))
+    train_w = WindowSet.load(_path(cfg, "train_windows"))
+    valid_w = WindowSet.load(_path(cfg, "valid_windows"))
     seed = _value(cfg, "seed", int)
     scaler = fit_scaler(cfg["scaler_kind"], train_w)
     train_s = transform(scaler, train_w)
@@ -404,7 +409,7 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_pretrain_ae(cfg: dict, outdir: Path) -> None:
-    windows = WindowSet.load(str(_require(cfg, "windows")))
+    windows = WindowSet.load(_path(cfg, "windows"))
     seed = _value(cfg, "seed", int)
     arch = _model_arch({**read(dict, cfg["model"], "model config"), "kind": "autoencoder"},
                        windows)
@@ -421,10 +426,10 @@ def cmd_pretrain_ae(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_train_head(cfg: dict, outdir: Path) -> None:
-    ckpt = load_checkpoint(str(_require(cfg, "encoder")))
+    ckpt = load_checkpoint(_path(cfg, "encoder"))
     scaler = _document(cfg, "scaler", ScalerParams)
-    train_w = WindowSet.load(str(_require(cfg, "train_windows")))
-    valid_w = WindowSet.load(str(_require(cfg, "valid_windows")))
+    train_w = WindowSet.load(_path(cfg, "train_windows"))
+    valid_w = WindowSet.load(_path(cfg, "valid_windows"))
     seed = _value(cfg, "seed", int)
     head = _config(HeadConfig, cfg["head"], "head config", classes=train_w.Y.shape[1])
     model = build_encoder_classifier(ckpt, head, seed=seed)
@@ -438,10 +443,10 @@ def cmd_train_head(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_eval(cfg: dict, outdir: Path) -> None:
-    model = model_from_checkpoint(str(_require(cfg, "checkpoint")),
+    model = model_from_checkpoint(_path(cfg, "checkpoint"),
                                   _value(cfg, "expect_fingerprint", str | None))
     scaler = _document(cfg, "scaler", ScalerParams)
-    windows = transform(scaler, WindowSet.load(str(_require(cfg, "windows"))))
+    windows = transform(scaler, WindowSet.load(_path(cfg, "windows")))
     metrics, confusions = evaluate(model, windows, _value(cfg, "threshold", float))
     _write(outdir, "metrics.json", metrics.to_json())
     _write(outdir, "metrics.csv", _metrics_csv(metrics))
@@ -452,10 +457,10 @@ def cmd_eval(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_predict(cfg: dict, outdir: Path) -> None:
-    model = model_from_checkpoint(str(_require(cfg, "checkpoint")),
+    model = model_from_checkpoint(_path(cfg, "checkpoint"),
                                   _value(cfg, "expect_fingerprint", str | None))
     scaler = _document(cfg, "scaler", ScalerParams)
-    frame = _load_frame(str(_require(cfg, "in")))
+    frame = _load_frame(_path(cfg, "in"))
     track = predict_timeline(model, frame, scaler, _value(cfg, "length", int),
                              cfg["position"], _value(cfg, "threshold", float),
                              _value(cfg, "max_gap_s", int))
@@ -473,10 +478,10 @@ def cmd_smooth(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_pca(cfg: dict, outdir: Path) -> None:
-    model = model_from_checkpoint(str(_require(cfg, "checkpoint")),
+    model = model_from_checkpoint(_path(cfg, "checkpoint"),
                                   _value(cfg, "expect_fingerprint", str | None))
     scaler = _document(cfg, "scaler", ScalerParams)
-    windows = transform(scaler, WindowSet.load(str(_require(cfg, "windows"))))
+    windows = transform(scaler, WindowSet.load(_path(cfg, "windows")))
     features = feature_matrix(model, windows.X)
     pca = pca_fit(features)
     points = pca_project(pca, features)
@@ -521,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--dry-run", action="store_true",
-                       help="validate the config and exit without writing")
+                       help="check the config's key names and exit without writing")
     return parser
 
 

@@ -18,7 +18,7 @@ import json
 import re
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -118,32 +118,15 @@ class SensorFrame:
             if name not in self.channel_names:
                 raise SchemaError(f"unknown channel {name!r}")
             idx.append(self.channel_names.index(name))
-        return SensorFrame(
-            timestamps=self.timestamps,
-            channel_names=tuple(names),
-            values=self.values[idx],
-            label_names=self.label_names,
-            label_values=self.label_values,
-            device_id=self.device_id,
-        )
+        return replace(self, channel_names=tuple(names), values=self.values[idx])
 
     def slice_rows(self, start: int, end: int) -> "SensorFrame":
-        return SensorFrame(
-            timestamps=self.timestamps[start:end],
-            channel_names=self.channel_names,
-            values=self.values[:, start:end],
-            label_names=self.label_names,
-            label_values=self.label_values[:, start:end],
-            device_id=self.device_id,
-        )
+        return replace(self, timestamps=self.timestamps[start:end],
+                       values=self.values[:, start:end],
+                       label_values=self.label_values[:, start:end])
 
     def without_labels(self) -> "SensorFrame":
-        return SensorFrame(
-            timestamps=self.timestamps,
-            channel_names=self.channel_names,
-            values=self.values,
-            device_id=self.device_id,
-        )
+        return replace(self, label_names=(), label_values=np.zeros((0, 0), dtype=np.int64))
 
     def label_matrix(self) -> np.ndarray:
         """Labels as an (N, K) float64 matrix in label-name order."""
@@ -231,15 +214,6 @@ class FeatureSet:
 class _FeaturesDoc:
     features: tuple[str, ...]
     note: str = ""
-
-
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column-name mapping for frame ingestion."""
-
-    timestamp_column: str = "timestamp"
-    label_columns: tuple[str, ...] = STANDARD_LABELS
-    rename: dict[str, str] = field(default_factory=dict)
 
 
 # Cell grammar of the body, as csv reads it: whitespace other than a line
@@ -365,8 +339,7 @@ def _read_table(body: str, dtype: np.dtype) -> np.ndarray | None:
     return None
 
 
-def parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
-                device_id: str = "") -> SensorFrame:
+def parse_frame(csv_bytes: bytes) -> SensorFrame:
     """Parse a CSV byte stream into a SensorFrame.
 
     Blank cells (empty or whitespace, bare or quoted) become NaN and all-blank
@@ -375,7 +348,6 @@ def parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
     row, or a cell it refuses, raises ParseError naming the row (1-based,
     counting skipped rows) and the column.
     """
-    schema = schema or CsvSchema()
     text = csv_bytes.decode("utf-8", "surrogateescape")
     undecodable = not text.isascii() and _UNDECODED.search(text)
     buf = io.StringIO(text)
@@ -385,17 +357,15 @@ def parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
         raise SchemaError("empty CSV: no header row") from None
     except csv.Error as exc:
         raise SchemaError(f"header: {exc}") from None
-    header = [schema.rename.get(h.strip(), h.strip()) for h in header]
-    if not header or header[0] != schema.timestamp_column:
-        raise SchemaError(
-            f"first column must be {schema.timestamp_column!r}, got {header[:1]}"
-        )
+    header = [h.strip() for h in header]
+    if not header or header[0] != "timestamp":
+        raise SchemaError(f"first column must be 'timestamp', got {header[:1]}")
     if len(set(header)) != len(header):
         raise SchemaError("duplicate column names in header")
     if _UNDECODED.search(",".join(header)):
         raise ParseError("header: not valid UTF-8")
-    label_cols = [h for h in header[1:] if h in schema.label_columns]
-    channel_cols = [h for h in header[1:] if h not in schema.label_columns]
+    label_cols = [h for h in header[1:] if h in STANDARD_LABELS]
+    channel_cols = [h for h in header[1:] if h not in STANDARD_LABELS]
 
     kinds = [np.int64] + [np.int64 if h in label_cols else np.float64 for h in header[1:]]
     dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
@@ -424,7 +394,6 @@ def parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
         values=columns(channel_cols, np.float64),
         label_names=tuple(label_cols),
         label_values=labels,
-        device_id=device_id,
     )
 
 
@@ -516,24 +485,8 @@ def interpolate_missing(frame: SensorFrame, edge_policy: str = "trim") -> Sensor
         if edge_policy == "extend":
             values[c, :first] = values[c, first]
             values[c, last + 1:] = values[c, last]
-    if edge_policy == "trim" and (lead or trail):
-        end = n - trail
-        return SensorFrame(
-            timestamps=frame.timestamps[lead:end],
-            channel_names=frame.channel_names,
-            values=values[:, lead:end],
-            label_names=frame.label_names,
-            label_values=frame.label_values[:, lead:end],
-            device_id=frame.device_id,
-        )
-    return SensorFrame(
-        timestamps=frame.timestamps,
-        channel_names=frame.channel_names,
-        values=values,
-        label_names=frame.label_names,
-        label_values=frame.label_values,
-        device_id=frame.device_id,
-    )
+    filled = replace(frame, values=values)
+    return filled.slice_rows(lead, n - trail) if edge_policy == "trim" else filled
 
 
 def binarize_person(frame: SensorFrame) -> SensorFrame:
@@ -543,14 +496,7 @@ def binarize_person(frame: SensorFrame) -> SensorFrame:
     labels = frame.label_values.copy()
     k = frame.label_names.index("person")
     labels[k] = (labels[k] > 0).astype(np.int64)
-    return SensorFrame(
-        timestamps=frame.timestamps,
-        channel_names=frame.channel_names,
-        values=frame.values,
-        label_names=frame.label_names,
-        label_values=labels,
-        device_id=frame.device_id,
-    )
+    return replace(frame, label_values=labels)
 
 
 def _series_for(frame: SensorFrame, name: str) -> np.ndarray:

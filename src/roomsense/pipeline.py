@@ -11,7 +11,7 @@ only and applied everywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +32,6 @@ class Segment:
 
     start: int
     end: int
-    reason: str = "full-frame"  # event-window | full-frame | time-gap-piece
-    frame: SensorFrame | None = None
 
     def __post_init__(self):
         if not (0 <= self.start < self.end):
@@ -77,16 +75,10 @@ class WindowSet:
 
     def take(self, indices: np.ndarray) -> "WindowSet":
         idx = np.asarray(indices, dtype=np.int64)
-        return WindowSet(
-            X=self.X[idx],
-            Y=self.Y[idx],
-            channel_names=self.channel_names,
-            class_names=self.class_names,
-            start_timestamps=self.start_timestamps[idx],
-            label_position=self.label_position,
-            start_indices=None if self.start_indices is None else self.start_indices[idx],
-            scaler_note=self.scaler_note,
-        )
+        return replace(self, X=self.X[idx], Y=self.Y[idx],
+                       start_timestamps=self.start_timestamps[idx],
+                       start_indices=None if self.start_indices is None
+                       else self.start_indices[idx])
 
     def save(self, path: str | Path) -> None:
         """Write a ``roomsense.container``: the header holds the shapes, names,
@@ -150,7 +142,7 @@ def undersample(labels: np.ndarray, k: int) -> list[Segment]:
     first = np.flatnonzero(np.concatenate(([True], starts[1:] > ends[:-1])))
     last = np.append(first[1:] - 1, marked.size - 1)
     merged = zip(starts[first].tolist(), ends[last].tolist())
-    return [Segment(s, e, reason="event-window") for s, e in merged]
+    return [Segment(s, e) for s, e in merged]
 
 
 def split_on_gaps(frame: SensorFrame, max_gap_s: int = DEFAULT_MAX_GAP_S) -> list[Segment]:
@@ -162,9 +154,7 @@ def split_on_gaps(frame: SensorFrame, max_gap_s: int = DEFAULT_MAX_GAP_S) -> lis
         return []
     cuts = np.flatnonzero(np.diff(frame.timestamps) > max_gap_s) + 1
     bounds = [0, *cuts.tolist(), n]
-    reason = "full-frame" if len(bounds) == 2 else "time-gap-piece"
-    return [Segment(bounds[i], bounds[i + 1], reason=reason, frame=frame)
-            for i in range(len(bounds) - 1)]
+    return [Segment(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
 
 def slide(segment: Segment, length: int, stride: int = 1) -> list[int]:
@@ -234,8 +224,7 @@ def build_windows(frame: SensorFrame, channels: list[str] | tuple[str, ...],
         refined: list[Segment] = []
         for seg in segments:
             for sub in undersample(label_mat[seg.start:seg.end], undersample_k):
-                refined.append(Segment(seg.start + sub.start, seg.start + sub.end,
-                                       reason="event-window", frame=sel))
+                refined.append(Segment(seg.start + sub.start, seg.start + sub.end))
         segments = refined
     starts: list[int] = []
     for seg in segments:
@@ -260,27 +249,22 @@ def build_windows(frame: SensorFrame, channels: list[str] | tuple[str, ...],
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Random-after-segmentation or time-separated-before-segmentation split."""
+    """Train/valid/test ratios and seed of a random split after segmentation."""
 
-    mode: str = "random-after-segmentation"
     ratios: tuple[float, float, float] = (0.7, 0.2, 0.1)
     seed: int = 0
-    cut_timestamp: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("random-after-segmentation", "time-separated-before-segmentation"):
-            raise ConfigError(f"unknown split mode {self.mode!r}")
-        if self.mode == "random-after-segmentation":
-            if any(r <= 0 for r in self.ratios):
-                raise ConfigError("split ratios must be positive")
-            if abs(sum(self.ratios) - 1.0) > 1e-9:
-                raise ConfigError("split ratios must sum to 1")
+        if len(self.ratios) != 3:
+            raise ConfigError(f"split ratios must be three numbers, got {len(self.ratios)}")
+        if any(r <= 0 for r in self.ratios):
+            raise ConfigError("split ratios must be positive")
+        if abs(sum(self.ratios) - 1.0) > 1e-9:
+            raise ConfigError("split ratios must sum to 1")
 
 
 def split_random(windows: WindowSet, spec: SplitSpec) -> tuple[WindowSet, WindowSet, WindowSet]:
     """Seeded uniform shuffle, then contiguous train/valid/test cut."""
-    if spec.mode != "random-after-segmentation":
-        raise ConfigError("split_random requires mode random-after-segmentation")
     n = len(windows)
     if n < 10:
         raise SplitError(f"need at least 10 windows to split, got {n}")
@@ -407,41 +391,20 @@ def fit_scaler(kind: str, data: SensorFrame | WindowSet) -> ScalerParams:
     return ScalerParams(kind, tuple(names), a, b)
 
 
-def _scale_arrays(scaler: ScalerParams, values: np.ndarray, channel_axis: int,
-                  inverse: bool) -> np.ndarray:
+def _scale_arrays(scaler: ScalerParams, values: np.ndarray, channel_axis: int) -> np.ndarray:
     shape = [1] * values.ndim
     shape[channel_axis] = -1
     a = scaler.stat_a.reshape(shape)
     b = scaler.stat_b.reshape(shape)
-    if scaler.kind == "standard":
-        return values * b + a if inverse else (values - a) / b
-    span = b - a
-    return values * span + a if inverse else (values - a) / span
+    return (values - a) / (b if scaler.kind == "standard" else b - a)
 
 
-def transform(scaler: ScalerParams, data: SensorFrame | WindowSet,
-              inverse: bool = False) -> SensorFrame | WindowSet:
-    """Apply (or invert) train statistics on a frame or window set."""
+def transform(scaler: ScalerParams, data: SensorFrame | WindowSet) -> SensorFrame | WindowSet:
+    """Apply train statistics on a frame or window set."""
     if tuple(data.channel_names) != scaler.channel_names:
         raise SchemaError(
             f"channel mismatch: scaler has {scaler.channel_names}, data has {tuple(data.channel_names)}"
         )
     if isinstance(data, SensorFrame):
-        return SensorFrame(
-            timestamps=data.timestamps,
-            channel_names=data.channel_names,
-            values=_scale_arrays(scaler, data.values, 0, inverse),
-            label_names=data.label_names,
-            label_values=data.label_values,
-            device_id=data.device_id,
-        )
-    return WindowSet(
-        X=_scale_arrays(scaler, data.X, 1, inverse),
-        Y=data.Y,
-        channel_names=data.channel_names,
-        class_names=data.class_names,
-        start_timestamps=data.start_timestamps,
-        label_position=data.label_position,
-        start_indices=data.start_indices,
-        scaler_note=f"{scaler.kind} scaler" if not inverse else "",
-    )
+        return replace(data, values=_scale_arrays(scaler, data.values, 0))
+    return replace(data, X=_scale_arrays(scaler, data.X, 1), scaler_note=f"{scaler.kind} scaler")

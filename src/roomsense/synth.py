@@ -49,7 +49,6 @@ class ScenarioConfig:
     start_epoch: int = 1_656_633_600  # 2022-07-01T00:00:00Z
     period_s: int = 120
     device_id: str = "synth-000"
-    device_count: int = 1
     # event schedules (durations in samples)
     occupancy_mean: float = 40.0
     vacancy_mean: float = 240.0

@@ -213,11 +213,10 @@ def train_classifier(model, train: WindowSet, valid: WindowSet,
     return model, history
 
 
-def train_autoencoder(model, unlabeled: WindowSet, cfg: TrainConfig,
-                      holdout_fraction: float = 0.1) -> tuple[object, History]:
-    """MSE reconstruction training with a seeded held-out validation split."""
+def train_autoencoder(model, unlabeled: WindowSet, cfg: TrainConfig) -> tuple[object, History]:
+    """MSE reconstruction training with a seeded 10 % held-out validation split."""
     n = len(unlabeled)
-    n_valid = max(1, int(round(n * holdout_fraction)))
+    n_valid = max(1, int(round(n * 0.1)))
     if n_valid >= n:
         raise ConfigError(f"{n} windows cannot spare a validation holdout")
     perm = Rng(derive_seed(cfg.seed, 3)).permutation(n)

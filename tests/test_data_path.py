@@ -30,7 +30,6 @@ from roomsense.evaluation import (
 from roomsense.frames import (
     CSV_BLOCK_ROWS,
     STANDARD_CHANNELS,
-    CsvSchema,
     STANDARD_LABELS,
     SensorFrame,
     binarize_person,
@@ -261,25 +260,21 @@ def reference_parse_timestamp(cell: str, row: int) -> int:
     return int(dt.timestamp())
 
 
-def reference_parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
-                          device_id: str = "") -> SensorFrame:
+def reference_parse_frame(csv_bytes: bytes) -> SensorFrame:
     """The per-cell row loop; the 64-bit range checks are the only additions."""
-    schema = schema or CsvSchema()
     text = csv_bytes.decode("utf-8")
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:
         raise SchemaError("empty CSV: no header row") from None
-    header = [schema.rename.get(h.strip(), h.strip()) for h in header]
-    if not header or header[0] != schema.timestamp_column:
-        raise SchemaError(
-            f"first column must be {schema.timestamp_column!r}, got {header[:1]}"
-        )
+    header = [h.strip() for h in header]
+    if not header or header[0] != "timestamp":
+        raise SchemaError(f"first column must be 'timestamp', got {header[:1]}")
     if len(set(header)) != len(header):
         raise SchemaError("duplicate column names in header")
-    label_cols = [h for h in header[1:] if h in schema.label_columns]
-    channel_cols = [h for h in header[1:] if h not in schema.label_columns]
+    label_cols = [h for h in header[1:] if h in STANDARD_LABELS]
+    channel_cols = [h for h in header[1:] if h not in STANDARD_LABELS]
 
     ts_list: list[int] = []
     rows: list[list[float]] = []
@@ -334,7 +329,6 @@ def reference_parse_frame(csv_bytes: bytes, schema: CsvSchema | None = None,
         values=values[order].T,
         label_names=tuple(label_cols),
         label_values=labels[order].T,
-        device_id=device_id,
     )
 
 
@@ -360,8 +354,7 @@ def reference_build_windows(frame, channels, length, stride=1, position="first",
         refined = []
         for seg in segments:
             for sub in undersample(label_mat[seg.start:seg.end], undersample_k):
-                refined.append(Segment(seg.start + sub.start, seg.start + sub.end,
-                                       reason="event-window", frame=sel))
+                refined.append(Segment(seg.start + sub.start, seg.start + sub.end))
         segments = refined
     starts = []
     for seg in segments:

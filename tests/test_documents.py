@@ -230,6 +230,7 @@ def test_named_damaged_inputs(stages, tmp_path, capsys):
           "--set", 'model={"kernels":3}', *out], 1, "'kernels'"),
         (["synth", "--set", 'scenario={"bogus":1}', *out], 1, "'bogus'"),
         (["synth", "--set", 'scenario={"noise_std":{"co2":"8"}}', *out], 1, "'noise_std'"),
+        (["synth", "--set", 'scenario={"device_count":2}', *out], 1, "'device_count'"),
     ]
     for argv, code, named in cases:
         got, err = run(argv, capsys)
@@ -251,6 +252,15 @@ def test_top_level_config_values_exit_1_naming_the_key(stages, tmp_path, capsys)
          "--set", f"scaler={stages}/train/scaler.json", "--set", f"in={stages}/clean/clean.csv",
          "--set", "expect_fingerprint=5"],
         ["sample", "--set", f"in={stages}/clean/clean.csv", "--set", "features_file=5"],
+        ["split", "--set", f"in={stages}/sample/windows", "--set", "ratios=[0.3,0.3,0.2,0.2]"],
+        ["split", "--set", f"in={stages}/sample/windows", "--set", "ratios=[0.5,0.5]"],
+        # paths that are not strings
+        ["split", "--set", "in=5"],
+        ["pretrain-ae", "--set", "windows=5"],
+        ["train", "--set", "train_windows=5"],
+        ["train", "--set", f"train_windows={stages}/sample/windows", "--set", "valid_windows=5"],
+        ["eval", "--set", "checkpoint=5"],
+        ["train-head", "--set", "encoder=5"],
     ]
     for argv in cases:
         key = argv[-1].split("=")[0]
