@@ -41,6 +41,7 @@ from .frames import (
     FeatureSet,
     SensorFrame,
     binarize_person,
+    csv_text,
     frame_to_csv,
     interpolate_missing,
     missing_report,
@@ -78,7 +79,7 @@ from .search import (
     random_search,
     trials_to_json,
 )
-from .schema import read, read_document
+from .schema import dump, parse, read, read_document
 from .synth import ScenarioConfig, bundled_scenario, generate_fleet, generate_frame
 from .training import TrainConfig, train_autoencoder, train_classifier
 
@@ -124,23 +125,27 @@ def _parse_set(value: str) -> tuple[str, object]:
         raise ConfigError(f"--set expects key=value, got {value!r}")
     key, raw = value.split("=", 1)
     try:
-        return key, json.loads(raw)
+        parsed, found = parse(raw)
     except json.JSONDecodeError:
         return key, raw
+    if found:
+        raise ConfigError(f"config key {key!r} holds {found[0]}, not a JSON number")
+    return key, parsed
 
 
 def resolve_config(command: str, config_path: str | None, overrides: list[str],
-                   seed: int | None, out: str | None) -> dict:
+                   out: str | None) -> dict:
     known = COMMAND_KEYS[command]
-    resolved = {k: (json.loads(json.dumps(v)) if isinstance(v, (dict, list)) else v)
-                for k, v in known.items()}
+    resolved = json.loads(json.dumps(known))  # a deep copy of the defaults
     if config_path:
         try:  # the text only: a config file that is not JSON is a config error
-            loaded = json.loads(read_document(config_path, "config file", parse=str))
+            loaded, found = parse(read_document(config_path, "config file", parse=str))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {config_path}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}") from None
+        if found:
+            raise ConfigError(f"config file {config_path} holds {found[0]}, not a JSON number")
         for key, value in read(dict, loaded, "config file").items():
             if key == "_meta":
                 continue  # resolved configs carry their metadata block along
@@ -152,13 +157,9 @@ def resolve_config(command: str, config_path: str | None, overrides: list[str],
         if key not in known:
             raise ConfigError(f"unknown config key {key!r} for command {command!r}")
         resolved[key] = value
-    if seed is not None and "seed" in known:
-        resolved["seed"] = seed
     if out is not None:
         resolved["out"] = out
-    env_out = os.environ.get("ROOMSENSE_OUTDIR")
-    if env_out:
-        resolved["out"] = env_out
+    resolved["out"] = os.environ.get("ROOMSENSE_OUTDIR") or resolved["out"]
     return resolved
 
 
@@ -194,14 +195,12 @@ def _write_resolved(outdir: Path, command: str, cfg: dict) -> None:
     # metadata block (no timestamps, so artifacts are byte-stable)
     doc = {**cfg, "_meta": {"command": command, "tool": "roomsense",
                             "version": __version__}}
-    _write(outdir, "config.resolved.json",
-           json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write(outdir, "config.resolved.json", dump(doc))
 
 
 def _write_track(outdir: Path, track: PredictionTrack) -> None:
-    json_text, csv_text = track.texts()
-    _write(outdir, "track.json", json_text)
-    _write(outdir, "track.csv", csv_text)
+    for name, text in zip(("track.json", "track.csv"), track.texts()):
+        _write(outdir, name, text)
 
 
 def _load_frame(path: str) -> SensorFrame:
@@ -219,21 +218,6 @@ def _write_history(outdir: Path, history) -> None:
     _write(outdir, "history.json", history.to_json())
     _write(outdir, "history.csv", history.to_csv())
     _write(outdir, "timing.csv", history.timing_csv())
-
-
-def _metrics_csv(metrics) -> str:
-    lines = ["class,precision,recall,f1,support"]
-    for name, p, r, f, s in zip(metrics.class_names, metrics.precision,
-                                metrics.recall, metrics.f1, metrics.support):
-        lines.append(f"{name},{p!r},{r!r},{f!r},{s}")
-    return "\n".join(lines) + "\n"
-
-
-def _confusion_csv(confusions) -> str:
-    lines = ["class,tp,fp,fn,tn"]
-    for c in confusions:
-        lines.append(f"{c.class_name},{c.tp},{c.fp},{c.fn},{c.tn}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +253,7 @@ def cmd_clean(cfg: dict, outdir: Path) -> None:
     (outdir / "clean.csv").write_bytes(frame_to_csv(frame))
     summary = {"rows": len(frame), "edge_policy": cfg["edge_policy"],
                "missing_filled": {n: c for n, c in zip(before.channel_names, before.counts) if c}}
-    _write(outdir, "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _write(outdir, "summary.json", dump(summary))
     print(f"cleaned frame: {len(frame)} rows -> {outdir / 'clean.csv'}")
 
 
@@ -396,15 +380,12 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
     trials, best = random_search(space, build, train_s, valid_s, tcfg,
                                  _value(cfg, "trials", int), seed)
     _write(outdir, "trials.json", trials_to_json(trials, best))
-    lines = ["trial,f1_mean," + ",".join(sorted(space.grids))]
-    for t in trials:
-        lines.append(f"{t.index},{t.f1_mean!r},"
-                     + ",".join(str(t.params[k]) for k in sorted(space.grids)))
-    _write(outdir, "trials.csv", "\n".join(lines) + "\n")
-    _write(outdir, "timing.csv", "\n".join(
-        ["trial,wall_seconds", *(f"{t.index},{t.wall_seconds!r}" for t in trials)]) + "\n")
-    _write(outdir, "best.json",
-           json.dumps(best.to_doc(), sort_keys=True, indent=2) + "\n")
+    names = sorted(space.grids)
+    index, f1, wall, *params = zip(*((t.index, t.f1_mean, t.wall_seconds,
+                                      *(str(t.params[k]) for k in names)) for t in trials))
+    _write(outdir, "trials.csv", csv_text(["trial", "f1_mean", *names], [index, f1, *params]))
+    _write(outdir, "timing.csv", csv_text(["trial", "wall_seconds"], [index, wall]))
+    _write(outdir, "best.json", dump(best.to_doc()))
     print(f"{len(trials)} trials; best f1={best.f1_mean:.4f} with {best.params}")
 
 
@@ -449,9 +430,13 @@ def cmd_eval(cfg: dict, outdir: Path) -> None:
     windows = transform(scaler, WindowSet.load(_path(cfg, "windows")))
     metrics, confusions = evaluate(model, windows, _value(cfg, "threshold", float))
     _write(outdir, "metrics.json", metrics.to_json())
-    _write(outdir, "metrics.csv", _metrics_csv(metrics))
+    _write(outdir, "metrics.csv", csv_text(
+        ["class", "precision", "recall", "f1", "support"],
+        [metrics.class_names, metrics.precision, metrics.recall, metrics.f1, metrics.support]))
     _write(outdir, "confusion.json", confusions_to_json(confusions))
-    _write(outdir, "confusion.csv", _confusion_csv(confusions))
+    _write(outdir, "confusion.csv", csv_text(
+        ["class", "tp", "fp", "fn", "tn"],
+        [[getattr(c, key) for c in confusions] for key in ("class_name", "tp", "fp", "fn", "tn")]))
     per_class = ", ".join(f"{n}={f:.3f}" for n, f in zip(metrics.class_names, metrics.f1))
     print(f"accuracy {metrics.accuracy:.4f}; F1 {per_class}")
 
@@ -523,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (value parsed as JSON)")
-        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--seed", type=int, help="same as a last --set seed=SEED")
         p.add_argument("--out", help="output directory")
         p.add_argument("--dry-run", action="store_true",
                        help="check the config's key names and exit without writing")
@@ -533,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args.command, args.config, args.set, args.seed, args.out)
+        seed = [] if args.seed is None else [f"seed={args.seed}"]
+        cfg = resolve_config(args.command, args.config, [*args.set, *seed], args.out)
         if args.dry_run:
             print(f"config ok: {json.dumps(cfg, sort_keys=True)}")
             return 0

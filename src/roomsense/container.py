@@ -8,7 +8,6 @@ byte length and then its hash before it builds any array.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from itertools import accumulate
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IntegrityError
-from .schema import read, read_document
+from . import schema
 
 
 def save(path: str | Path, header: dict, arrays) -> None:
@@ -26,8 +25,7 @@ def save(path: str | Path, header: dict, arrays) -> None:
     blob = b"".join(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes() for a in arrays)
     path.with_suffix(".bin").write_bytes(blob)
     doc = {**header, "blob_sha256": hashlib.sha256(blob).hexdigest()}
-    path.with_suffix(".json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.with_suffix(".json").write_text(schema.dump(doc), encoding="utf-8")
 
 
 def load(path: str | Path, header_type, what: str, layout):
@@ -35,8 +33,8 @@ def load(path: str | Path, header_type, what: str, layout):
     (``what`` names it in errors) and one native-order array per (dtype,
     shape) that ``layout(header)`` gives. A failed check is an IntegrityError."""
     path = Path(path)
-    header = read(header_type, read_document(path.with_suffix(".json"), what), what,
-                  IntegrityError)
+    header = schema.read_document(path.with_suffix(".json"), what,
+                                  lambda text: schema.load(header_type, text, what))
     specs = [(np.dtype(dtype).newbyteorder("<"), tuple(shape)) for dtype, shape in layout(header)]
     if any(min(shape, default=0) < 0 for _, shape in specs):
         raise IntegrityError(f"{what} gives a negative shape: {[list(s) for _, s in specs]}")

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, IntegrityError
-from .frames import CSV_BLOCK_ROWS, SensorFrame, csv_blocks
+from .frames import CSV_BLOCK_ROWS, SensorFrame, csv_blocks, csv_line
 from .pipeline import (
     DEFAULT_MAX_GAP_S,
     ScalerParams,
@@ -20,7 +20,7 @@ from .pipeline import (
     stride1_windows,
     transform,
 )
-from .schema import read
+from .schema import dump, load
 
 NO_PREDICTION = -1
 
@@ -52,15 +52,10 @@ class Metrics:
     accuracy: float
 
     def to_json(self) -> str:
-        doc = {
-            "accuracy": self.accuracy,
-            "classes": {
-                name: {"precision": p, "recall": r, "f1": f, "support": s}
-                for name, p, r, f, s in zip(self.class_names, self.precision,
-                                            self.recall, self.f1, self.support)
-            },
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return dump({"accuracy": self.accuracy, "classes": {
+            name: {"precision": p, "recall": r, "f1": f, "support": s}
+            for name, p, r, f, s in zip(self.class_names, self.precision, self.recall,
+                                        self.f1, self.support)}})
 
 
 @dataclass(frozen=True)
@@ -77,14 +72,15 @@ class ClassConfusion:
 
 
 def confusions_to_json(confusions: list[ClassConfusion]) -> str:
-    doc = {c.class_name: {"tp": c.tp, "fp": c.fp, "fn": c.fn, "tn": c.tn}
-           for c in confusions}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dump({c.class_name: {"tp": c.tp, "fp": c.fp, "fn": c.fn, "tn": c.tn}
+                 for c in confusions})
 
 
 def evaluate(model, test: WindowSet, threshold: float = 0.5,
              batch_size: int = 512) -> tuple[Metrics, list[ClassConfusion]]:
-    """Per-class precision/recall/F1 and element-wise accuracy at a threshold."""
+    """Per-class precision/recall/F1 and element-wise accuracy at a threshold in [0, 1]."""
+    if not 0.0 <= threshold <= 1.0:  # NaN is not
+        raise ConfigError(f"threshold must lie in [0, 1], got {threshold!r}")
     probs = predict_probabilities(model, test.X, batch_size)
     decisions = probs >= threshold
     truth = test.Y >= 0.5
@@ -164,7 +160,7 @@ class PredictionTrack:
         no prediction, per-class objects in sorted class-name order.
         ``track.csv`` is written like a frame CSV: ``timestamp``, then a
         ``prob_<class>``, ``decision_<class>`` pair per class, with an empty
-        cell for no prediction.
+        cell for no prediction and the header quoted by ``csv.writer``.
         """
         header = ["timestamp"]
         columns = [self.timestamps]
@@ -172,7 +168,7 @@ class PredictionTrack:
             header += [f"prob_{name}", f"decision_{name}"]
             columns += [self.probabilities[k], self.decisions[k]]
         indents = ["  "] + ["    "] * (len(columns) - 1)  # where each JSON list opens
-        csv_text = [",".join(header) + "\n"]
+        csv_text = [csv_line(header)]
         json_blocks: list[list[str]] = [[] for _ in columns]
         for lo, cells, rows_text in csv_blocks(columns):
             csv_text.append(rows_text)
@@ -210,8 +206,11 @@ class PredictionTrack:
         """Read ``to_json`` output; IntegrityError names a key that is missing,
         of the wrong type, or whose per-class list does not match ``timestamps``,
         and a class whose probabilities are not null or in [0, 1], or are null
-        where its decision is not -1 or the other way round."""
-        doc = read(_TrackDoc, json.loads(text), "track", IntegrityError)
+        where its decision is not -1 or the other way round, and a threshold
+        outside [0, 1]."""
+        doc = load(_TrackDoc, text, "track")
+        if not 0.0 <= doc.threshold <= 1.0:
+            raise IntegrityError(f"track key 'threshold' must lie in [0, 1], not {doc.threshold}")
         names, n = doc.classes, len(doc.timestamps)
         for key, per_class in (("probabilities", doc.probabilities), ("decisions", doc.decisions)):
             for name in names:
@@ -222,17 +221,13 @@ class PredictionTrack:
                                          f"entries, 'timestamps' has {n}")
                 if key == "decisions" and not set(per_class[name]) <= {NO_PREDICTION, 0, 1}:
                     raise IntegrityError(f"track key {key}.{name!r} must hold -1, 0 or 1")
-        # a JSON null becomes NaN
+        # a JSON null becomes NaN; load has refused NaN literals
         shape = (len(names), n)
-        probs = np.array([doc.probabilities[name] for name in names], dtype=np.float64)
-        probs = probs.reshape(shape)
+        probs = np.array([doc.probabilities[name] for name in names], np.float64).reshape(shape)
         decs = np.array([doc.decisions[name] for name in names], dtype=np.int8).reshape(shape)
         for k, name in enumerate(names):
             missing = np.isnan(probs[k])
-            present = probs[k][~missing]
-            # more NaN than null means a NaN literal
-            if (missing.sum() != doc.probabilities[name].count(None)
-                    or (present < 0).any() or (present > 1).any()):
+            if ((probs[k] < 0) | (probs[k] > 1)).any():
                 raise IntegrityError(f"track key probabilities.{name!r} must hold null "
                                      "or numbers in [0, 1]")
             if not np.array_equal(missing, decs[k] == NO_PREDICTION):
@@ -254,8 +249,10 @@ def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: in
 
     Windows never cross gap boundaries, and a window holding any missing or
     non-finite cell is not predicted; rows no predicted window maps to carry
-    the explicit no-prediction marker.
+    the explicit no-prediction marker. ``threshold`` must lie in [0, 1].
     """
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold must lie in [0, 1], got {threshold!r}")
     sel = frame.select_channels(scaler.channel_names)
     scaled = transform(scaler, sel)
     if class_names is None:

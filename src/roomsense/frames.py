@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import re
 import warnings
 from collections.abc import Iterator
@@ -30,7 +29,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .schema import read
+from .schema import dump, load
 
 # Canonical channel and label names of the sensor fleet.
 STANDARD_CHANNELS: tuple[str, ...] = (
@@ -143,14 +142,9 @@ class MissingReport:
     total_rows: int
 
     def to_json(self) -> str:
-        doc = {
-            "total_rows": self.total_rows,
-            "channels": {
-                name: {"missing": c, "runs": [list(r) for r in runs]}
-                for name, c, runs in zip(self.channel_names, self.counts, self.runs)
-            },
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return dump({"total_rows": self.total_rows, "channels": {
+            name: {"missing": c, "runs": [list(r) for r in runs]}
+            for name, c, runs in zip(self.channel_names, self.counts, self.runs)}})
 
 
 @dataclass(frozen=True)
@@ -172,12 +166,11 @@ class CorrelationMatrix:
         return float(self.matrix[i, j])
 
     def to_json(self) -> str:
-        doc = {"variables": list(self.variable_names), "matrix": self.matrix.tolist()}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return dump({"variables": list(self.variable_names), "matrix": self.matrix.tolist()})
 
     @staticmethod
     def from_json(text: str) -> "CorrelationMatrix":
-        doc = read(_CorrelationDoc, json.loads(text), "correlation", IntegrityError)
+        doc = load(_CorrelationDoc, text, "correlation")
         if {len(doc.matrix), *map(len, doc.matrix)} != {len(doc.variables)}:
             raise IntegrityError("correlation key 'matrix' must be square over 'variables'")
         return CorrelationMatrix(doc.variables, np.asarray(doc.matrix, dtype=np.float64))
@@ -201,12 +194,11 @@ class FeatureSet:
             raise DegenerateDataError("feature set must be non-empty")
 
     def to_json(self) -> str:
-        return json.dumps({"features": list(self.names), "note": self.note},
-                          sort_keys=True, indent=2) + "\n"
+        return dump({"features": list(self.names), "note": self.note})
 
     @staticmethod
     def from_json(text: str) -> "FeatureSet":
-        doc = read(_FeaturesDoc, json.loads(text), "feature set", IntegrityError)
+        doc = load(_FeaturesDoc, text, "feature set")
         return FeatureSet(doc.features, doc.note)
 
 
@@ -397,13 +389,24 @@ def parse_frame(csv_bytes: bytes) -> SensorFrame:
     )
 
 
+def csv_line(cells: list[str]) -> str:
+    """One CSV row of text cells, quoted as ``csv.writer`` quotes them."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
+
+
 def format_cells(column: np.ndarray) -> list[str]:
     """Text cells of one column: ``str`` of each integer, ``repr`` of each
-    float and the empty cell for NaN.
+    float, the empty cell for NaN, and each string quoted as ``csv.writer``
+    quotes it.
 
     For finite floats and integers these are also the JSON numbers that
     ``json.dumps`` writes.
     """
+    if column.dtype.kind == "U":
+        # behind an empty cell, as ``csv.writer`` writes a cell inside a row
+        return [csv_line(["", text])[1:-1] for text in column.tolist()]
     if column.dtype.kind != "f":
         return list(map(str, column.tolist()))
     cells = list(map(repr, column.tolist()))
@@ -425,14 +428,18 @@ def csv_blocks(columns: list[np.ndarray]) -> Iterator[tuple[int, list[list[str]]
         yield lo, cells, "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
+def csv_text(header: list[str], columns) -> str:
+    """The text of every report CSV: ``header`` as ``csv.writer`` writes it,
+    then one row per entry of the equal-length ``columns`` (sequences or 1-D
+    arrays), formatted by ``format_cells``."""
+    columns = [np.asarray(c) for c in columns]
+    return "".join([csv_line(header), *(rows for _, _, rows in csv_blocks(columns))])
+
+
 def frame_to_csv(frame: SensorFrame) -> bytes:
     """Serialize a frame back to the CSV contract (round-trips exactly)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(
-        ["timestamp", *frame.channel_names, *frame.label_names])
-    columns = [frame.timestamps, *frame.values, *frame.label_values]
-    buf.write("".join(rows for _, _, rows in csv_blocks(columns)))
-    return buf.getvalue().encode("utf-8")
+    return csv_text(["timestamp", *frame.channel_names, *frame.label_names],
+                    [frame.timestamps, *frame.values, *frame.label_values]).encode("utf-8")
 
 
 def missing_report(frame: SensorFrame) -> MissingReport:

@@ -9,14 +9,14 @@ component is positive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, IntegrityError
+from .frames import csv_text
 from .rng import Rng
-from .schema import read
+from .schema import dump, load
 
 _START_SEED = 0x9E3779B9
 _TOL = 1e-10
@@ -30,14 +30,13 @@ class PcaModel:
     explained: tuple[float, float]
 
     def to_json(self) -> str:
-        doc = {"mean": self.mean.tolist(),
-               "components": self.components.tolist(),
-               "explained": list(self.explained)}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return dump({"mean": self.mean.tolist(),
+                     "components": self.components.tolist(),
+                     "explained": list(self.explained)})
 
     @staticmethod
     def from_json(text: str) -> "PcaModel":
-        doc = read(_PcaDoc, json.loads(text), "pca", IntegrityError)
+        doc = load(_PcaDoc, text, "pca")
         if len(doc.components) != len(doc.mean):
             raise IntegrityError("pca key 'components' must have one row per entry of 'mean'")
         return PcaModel(np.asarray(doc.mean, dtype=np.float64),
@@ -114,10 +113,6 @@ def pca_project(model: PcaModel, features: np.ndarray) -> np.ndarray:
 
 def projection_csv(points: np.ndarray, labels: np.ndarray | None = None) -> str:
     """Plot-ready CSV, one row per projected point."""
-    lines = ["x,y" if labels is None else "x,y,label"]
-    for i in range(points.shape[0]):
-        row = f"{points[i, 0]!r},{points[i, 1]!r}"
-        if labels is not None:
-            row += f",{int(labels[i])}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    if labels is None:
+        return csv_text(["x", "y"], points.T)
+    return csv_text(["x", "y", "label"], [*points.T, labels])

@@ -10,7 +10,6 @@ only and applied everywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from . import container
 from .errors import ConfigError, DegenerateDataError, IntegrityError, SchemaError, SplitError
 from .frames import SensorFrame
 from .rng import Rng
-from .schema import read
+from .schema import dump, load
 
 DEFAULT_MAX_GAP_S = 360  # three nominal 120 s periods
 
@@ -332,17 +331,12 @@ class ScalerParams:
 
     def to_json(self) -> str:
         key_a, key_b = _STAT_KEYS[self.kind]
-        doc = {
-            "kind": self.kind,
-            "channels": list(self.channel_names),
-            key_a: self.stat_a.tolist(),
-            key_b: self.stat_b.tolist(),
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return dump({"kind": self.kind, "channels": list(self.channel_names),
+                     key_a: self.stat_a.tolist(), key_b: self.stat_b.tolist()})
 
     @staticmethod
     def from_json(text: str) -> "ScalerParams":
-        doc = read(_ScalerDoc, json.loads(text), "scaler", IntegrityError)
+        doc = load(_ScalerDoc, text, "scaler")
         if doc.kind not in _STAT_KEYS:
             raise IntegrityError(f"scaler key 'kind' must be standard or minmax, got {doc.kind!r}")
         return ScalerParams(doc.kind, doc.channels,

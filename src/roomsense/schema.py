@@ -8,7 +8,8 @@ such as ``decisions.'person'`` or ``buffers[3].shape``: ConfigError (CLI exit
 Annotations: int, float, str, bool and unions of them (``float | None``),
 ``list[T]``, ``tuple[T, ...]``, ``tuple[T, T]``, ``dict[str, T]``, bare
 ``list`` and ``dict``, and dataclasses. JSON ``true`` is not a number, and a
-float also takes a JSON int.
+float also takes a JSON int. ``dump`` writes and ``load`` reads every JSON
+document; neither lets NaN or ±Infinity through, as RFC 8259 JSON has none.
 """
 
 from __future__ import annotations
@@ -90,7 +91,40 @@ def read(tp, value, what: str, error: type[Exception] = ConfigError,
     return tuple(value) if origin is tuple else value
 
 
-def read_document(path: str | Path, what: str, parse=json.loads):
+class _NotJson(str):
+    """NaN, Infinity or -Infinity as ``parse`` reads it; ``read`` takes it nowhere."""
+    __repr__ = str.__str__
+
+
+def parse(text: str) -> tuple[object, list[str]]:
+    """``json.loads`` of ``text``, and the NaN, Infinity and -Infinity
+    literals it holds, in order; each stands in the value as a placeholder
+    that ``read`` refuses."""
+    found: list[str] = []
+    value = json.loads(text, parse_constant=lambda name: found.append(name) or _NotJson(name))
+    return value, found
+
+
+def load(tp, text: str, what: str):
+    """``read`` of JSON document ``text`` as a ``tp``, raising IntegrityError
+    naming ``what``; a NaN or infinite literal is refused too."""
+    value, found = parse(text)
+    value = read(tp, value, what, IntegrityError)
+    if found:  # under an annotation such as bare ``dict``, which takes any value
+        raise IntegrityError(f"{what} holds {found[0]}, not a JSON number")
+    return value
+
+
+def dump(doc) -> str:
+    """The text of JSON document ``doc``: sorted keys, a 2-space indent and a
+    final newline. A NaN or infinite float raises IntegrityError."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise IntegrityError(f"cannot write a JSON document: {exc}") from None
+
+
+def read_document(path: str | Path, what: str, parse):
     """``parse`` of the UTF-8 text at ``path``. Bytes that are not UTF-8, and
     text ``parse`` finds is not JSON, raise IntegrityError naming ``what`` and
     the path; the message keeps the decoder's own text."""

@@ -9,9 +9,8 @@ running several at once on the same cores only makes each slower.
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -19,6 +18,7 @@ from .errors import ConfigError
 from .evaluation import evaluate
 from .pipeline import WindowSet
 from .rng import Rng, derive_seed
+from .schema import dump
 from .training import TrainConfig, train_classifier
 
 
@@ -70,13 +70,11 @@ class TrialResult:
     wall_seconds: float
 
     def to_doc(self) -> dict:
-        return {"index": self.index, "params": self.params, "seed": self.seed,
-                "f1_per_class": self.f1_per_class, "f1_mean": self.f1_mean}
+        return {k: v for k, v in asdict(self).items() if k != "wall_seconds"}
 
 
 def trials_to_json(trials: list[TrialResult], best: TrialResult) -> str:
-    doc = {"trials": [t.to_doc() for t in trials], "best": best.to_doc()}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dump({"trials": [t.to_doc() for t in trials], "best": best.to_doc()})
 
 
 def random_search(space: SearchSpace, build, train: WindowSet, valid: WindowSet,

@@ -14,16 +14,15 @@ point, and every draw comes from the frame's seeded generator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, IntegrityError
+from .errors import ConfigError
 from .frames import STANDARD_CHANNELS, STANDARD_LABELS, SensorFrame
 from .rng import Rng, derive_seed
-from .schema import read
+from .schema import dump, load
 
 _AMBIENT_DEFAULTS: dict[str, float] = {
     "pressure": 1005.0, "temperature": 21.5, "sound": 32.0, "tvoc": 120.0,
@@ -105,11 +104,11 @@ class ScenarioConfig:
         return self.noise_std.get(channel, _NOISE_DEFAULTS[channel]) * self.noise_scale
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+        return dump(asdict(self))
 
     @staticmethod
     def from_json(text: str) -> "ScenarioConfig":
-        return read(ScenarioConfig, json.loads(text), "scenario", IntegrityError)
+        return load(ScenarioConfig, text, "scenario")
 
 
 def bundled_scenario() -> ScenarioConfig:

@@ -7,15 +7,15 @@ documented splitmix stream, so repeated runs produce bit-identical weights.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
 from .evaluation import feature_matrix
+from .frames import csv_text
 from .nn import (
     AdamState,
     adam_step,
@@ -27,6 +27,7 @@ from .nn import (
 )
 from .pipeline import WindowSet
 from .rng import Rng, derive_seed
+from .schema import dump
 
 
 @dataclass(frozen=True)
@@ -67,29 +68,17 @@ class History:
         return len(self.train_loss)
 
     def to_json(self) -> str:
-        doc = {
-            "train_loss": self.train_loss,
-            "valid_loss": self.valid_loss,
-            "valid_accuracy": self.valid_accuracy,
-            "learning_rate": self.learning_rate,
-            "best_epoch": self.best_epoch,
-            "stopped_early": self.stopped_early,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return dump({k: v for k, v in asdict(self).items() if k != "wall_seconds"})
 
     def to_csv(self) -> str:
-        lines = ["epoch,train_loss,valid_loss,valid_accuracy,learning_rate"]
-        for e in range(len(self)):
-            acc = "" if self.valid_accuracy[e] is None else repr(self.valid_accuracy[e])
-            lines.append(f"{e + 1},{self.train_loss[e]!r},{self.valid_loss[e]!r},"
-                         f"{acc},{self.learning_rate[e]!r}")
-        return "\n".join(lines) + "\n"
+        columns = ("train_loss", "valid_loss", "valid_accuracy", "learning_rate")
+        # as float64, a None accuracy becomes NaN, which is written as an empty cell
+        return csv_text(["epoch", *columns], [range(1, len(self) + 1), *(
+            np.array(getattr(self, c), dtype=np.float64) for c in columns)])
 
     def timing_csv(self) -> str:
-        lines = ["epoch,wall_seconds"]
-        for e, w in enumerate(self.wall_seconds, start=1):
-            lines.append(f"{e},{w!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text(["epoch", "wall_seconds"],
+                        [range(1, len(self.wall_seconds) + 1), self.wall_seconds])
 
 
 def _head_mode(model) -> str:

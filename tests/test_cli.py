@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 from roomsense import frames
 from roomsense.cli import main
 from roomsense.evaluation import NO_PREDICTION, PredictionTrack
-from roomsense.frames import CSV_BLOCK_ROWS
+from roomsense.frames import CSV_BLOCK_ROWS, parse_frame
 from roomsense.pipeline import WindowSet
 
 
@@ -141,8 +142,118 @@ class TestTrackWriter:
                     "--set", f"in={chain}/clean/clean.csv", "--out", str(out)]) == 0
         assert len(calls) == self.one_pass(out) > 0
 
+    def test_class_names_with_comma_and_quote_keep_the_csv_header_whole(self, tmp_path):
+        names = ("a,b", 'q"x')
+        probs = np.array([[0.25, np.nan, 0.75], [0.5, 0.125, np.nan]])
+        decs = np.where(np.isnan(probs), NO_PREDICTION, probs >= 0.5).astype(np.int8)
+        track = PredictionTrack(120 * np.arange(3), names, probs, decs, 0.5)
+        (tmp_path / "track.json").write_text(track.to_json())
+        out = tmp_path / "smooth"
+        assert run(["smooth", "--set", f"track={tmp_path}/track.json", "--out", str(out)]) == 0
+        header, *rows = read_csv(out / "track.csv")
+        assert header == ["timestamp", "prob_a,b", "decision_a,b", 'prob_q"x', 'decision_q"x']
+        assert {len(row) for row in rows} == {1 + 2 * len(names)}
+
+
+def read_csv(path: Path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as f:
+        return list(csv.reader(f))
+
+
+@pytest.fixture(scope="module")
+def reports(chain):
+    """``tune`` and ``pca`` over the chain's windows and model, for their report files."""
+    assert run(["tune", "--set", f"train_windows={chain}/split/train",
+                "--set", f"valid_windows={chain}/split/valid", "--set", "model_kind=fcn",
+                "--set", 'model={"kernels":[3]}', "--set", 'space={"filters0":[4,8]}',
+                "--set", "trials=2", "--set", 'train={"epochs":1,"early_stopping":false}',
+                "--out", str(chain / "tune")]) == 0
+    assert run(["pca", "--set", f"checkpoint={chain}/train/model",
+                "--set", f"scaler={chain}/train/scaler.json",
+                "--set", f"windows={chain}/split/test", "--out", str(chain / "pca")]) == 0
+    return chain
+
+
+class TestReports:
+    """Each report CSV read back with ``csv.reader``: its numbers are its JSON
+    sibling's, and every cell of ``projection.csv`` and ``timing.csv`` is a number."""
+
+    def test_history_csv(self, chain):
+        doc = json.loads((chain / "train/history.json").read_text())
+        header, *rows = read_csv(chain / "train/history.csv")
+        assert header == ["epoch", "train_loss", "valid_loss", "valid_accuracy", "learning_rate"]
+        assert len(rows) == len(doc["train_loss"]) == 3
+        for epoch, row in enumerate(rows):
+            assert int(row[0]) == epoch + 1
+            for key, cell in zip(header[1:], row[1:]):
+                value = doc[key][epoch]
+                assert (cell == "") if value is None else (float(cell) == value), (key, cell)
+
+    def test_metrics_and_confusion_csv(self, chain):
+        metrics = json.loads((chain / "eval/metrics.json").read_text())["classes"]
+        header, *rows = read_csv(chain / "eval/metrics.csv")
+        assert header == ["class", "precision", "recall", "f1", "support"]
+        assert [row[0] for row in rows] == list(metrics) == ["person", "window_open"]
+        for name, *cells in rows:
+            got = dict(zip(header[1:], map(float, cells)))
+            assert got == metrics[name] and cells[-1] == str(metrics[name]["support"])
+        confusion = json.loads((chain / "eval/confusion.json").read_text())
+        header, *rows = read_csv(chain / "eval/confusion.csv")
+        assert header == ["class", "tp", "fp", "fn", "tn"]
+        assert {name: dict(zip(header[1:], map(int, cells))) for name, *cells in rows} == confusion
+
+    def test_trials_csv(self, reports):
+        doc = json.loads((reports / "tune/trials.json").read_text())
+        header, *rows = read_csv(reports / "tune/trials.csv")
+        assert header == ["trial", "f1_mean", "filters0"]
+        assert len(rows) == len(doc["trials"]) == 2
+        for row, trial in zip(rows, doc["trials"]):
+            assert (int(row[0]), float(row[1]), int(row[2])) == (
+                trial["index"], trial["f1_mean"], trial["params"]["filters0"])
+
+    @pytest.mark.parametrize("rel,header,rows", [
+        ("train/timing.csv", ["epoch", "wall_seconds"], 3),
+        ("tune/timing.csv", ["trial", "wall_seconds"], 2),
+        ("pca/projection.csv", ["x", "y", "label"], None)])
+    def test_every_cell_is_a_number(self, reports, rel, header, rows):
+        got, *body = read_csv(reports / rel)
+        assert got == header
+        if rows is None:  # one point per test window
+            rows = WindowSet.load(reports / "split/test").X.shape[0]
+        assert len(body) == rows > 0
+        assert all(len(row) == len(header) for row in body)
+        for row in body:
+            for cell in row:
+                float(cell)
+
+    def test_split_by_time(self, chain, tmp_path):
+        frame = parse_frame((chain / "clean/clean.csv").read_bytes())
+        cut = int(frame.timestamps[len(frame) // 3])
+        out = tmp_path / "split"
+        assert run(["split", "--set", "mode=time", "--set", f"in={chain}/clean/clean.csv",
+                    "--set", f"cut_timestamp={cut}", "--out", str(out)]) == 0
+        train = parse_frame((out / "train.csv").read_bytes())
+        test = parse_frame((out / "test.csv").read_bytes())
+        assert train.timestamps[-1] < cut == test.timestamps[0]
+        assert len(train) == len(frame) // 3 and len(train) + len(test) == len(frame)
+        for part in (train, test):
+            assert (part.channel_names, part.label_names) == (frame.channel_names,
+                                                              frame.label_names)
+        assert np.array_equal(np.concatenate([train.values, test.values], axis=1),
+                              frame.values, equal_nan=True)
+        assert np.array_equal(np.concatenate([train.label_values, test.label_values], axis=1),
+                              frame.label_values)
+
 
 class TestValidation:
+    @pytest.mark.parametrize("argv", [["clean", "--set", "in=x.csv", "--seed", "5"],
+                                      ["smooth", "--set", "track=t.json", "--seed", "3"]])
+    def test_seed_on_a_command_without_a_seed_key_exit_1(self, tmp_path, capsys, argv):
+        out = tmp_path / "never"
+        assert run([*argv, "--out", str(out)]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dry_run_unknown_key_exit_1_no_files(self, tmp_path):
         out = tmp_path / "never"
         code = run(["synth", "--set", "bogus_key=3", "--dry-run", "--out", str(out)])

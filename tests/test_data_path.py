@@ -210,7 +210,9 @@ def reference_track_csv(track: PredictionTrack) -> str:
     header = ["timestamp"]
     for name in track.class_names:
         header += [f"prob_{name}", f"decision_{name}"]
-    lines = [",".join(header)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    lines = [buf.getvalue()[:-1]]
     for i in range(len(track)):
         row = [str(int(track.timestamps[i]))]
         for k in range(len(track.class_names)):

@@ -341,3 +341,52 @@ def test_scenario_round_trip_and_damage():
     doc["ambient"] = {"o3": "6"}
     with pytest.raises(IntegrityError, match="'ambient'"):
         ScenarioConfig.from_json(json.dumps(doc))
+
+
+
+NON_FINITE = ["set NaN", "set -Infinity", "config file NaN", "track threshold NaN",
+              "manifest NaN", "eval threshold 1.5", "predict threshold -0.5",
+              "track threshold 1.5"]
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_numbers_and_thresholds_are_refused(stages, tmp_path, capsys, case):
+    """NaN and Infinity, which RFC 8259 JSON has not, exit 1 in a config and 2 in a
+    document; so does a threshold outside [0, 1]."""
+    model, scaler = stages / "train/model", stages / "train/scaler.json"
+    predict = ["predict", "--set", f"checkpoint={model}", "--set", f"scaler={scaler}",
+               "--set", "length=5", "--set", f"in={stages}/clean/clean.csv"]
+
+    def evaluate(checkpoint=model):
+        return ["eval", "--set", f"checkpoint={checkpoint}", "--set", f"scaler={scaler}",
+                "--set", f"windows={stages}/sample/windows"]
+
+    def smooth(threshold):
+        doc = {**json.loads((stages / "predict/track.json").read_text()), "threshold": threshold}
+        return ["smooth", "--set", f"track={write_json(tmp_path / 'track.json', doc)}"]
+
+    def config_file():
+        path = tmp_path / "config.json"
+        path.write_text('{"threshold": NaN}')
+        return [*predict, "--config", path]
+
+    def manifest():
+        doc = json.loads(model.with_suffix(".json").read_text())
+        doc["architecture"]["dropout"] = float("nan")
+        doc["fingerprint"] = architecture_fingerprint(doc["architecture"])
+        return evaluate(copy_with(model, tmp_path / "ck", doc))
+
+    argv, code, named = {
+        "set NaN": (lambda: [*predict, "--set", "threshold=NaN"], 1, "'threshold'"),
+        "set -Infinity": (lambda: [*evaluate(), "--set", "threshold=-Infinity"], 1,
+                          "'threshold'"),
+        "config file NaN": (config_file, 1, str(tmp_path / "config.json")),
+        "track threshold NaN": (lambda: smooth(float("nan")), 2, "'threshold'"),
+        "manifest NaN": (manifest, 2, "NaN"),
+        "eval threshold 1.5": (lambda: [*evaluate(), "--set", "threshold=1.5"], 1, "threshold"),
+        "predict threshold -0.5": (lambda: [*predict, "--set", "threshold=-0.5"], 1,
+                                   "threshold"),
+        "track threshold 1.5": (lambda: smooth(1.5), 2, "threshold"),
+    }[case]
+    got, err = run([*argv(), "--out", tmp_path / "out"], capsys)
+    assert (got, named in err) == (code, True), err
