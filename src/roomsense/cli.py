@@ -79,7 +79,7 @@ from .search import (
     random_search,
     trials_to_json,
 )
-from .schema import dump, parse, read, read_document
+from .schema import dump, parse, placeholder, read, read_document
 from .synth import ScenarioConfig, bundled_scenario, generate_fleet, generate_frame
 from .training import TrainConfig, train_autoencoder, train_classifier
 
@@ -125,11 +125,11 @@ def _parse_set(value: str) -> tuple[str, object]:
         raise ConfigError(f"--set expects key=value, got {value!r}")
     key, raw = value.split("=", 1)
     try:
-        parsed, found = parse(raw)
+        parsed, _ = parse(raw)
     except json.JSONDecodeError:
         return key, raw
-    if found:
-        raise ConfigError(f"config key {key!r} holds {found[0]}, not a JSON number")
+    if bad := placeholder(parsed, key):
+        raise ConfigError(f"config key {bad}, not a finite JSON number")
     return key, parsed
 
 
@@ -139,14 +139,14 @@ def resolve_config(command: str, config_path: str | None, overrides: list[str],
     resolved = json.loads(json.dumps(known))  # a deep copy of the defaults
     if config_path:
         try:  # the text only: a config file that is not JSON is a config error
-            loaded, found = parse(read_document(config_path, "config file", parse=str))
+            loaded, _ = parse(read_document(config_path, "config file", parse=str))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {config_path}") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}") from None
-        if found:
-            raise ConfigError(f"config file {config_path} holds {found[0]}, not a JSON number")
-        for key, value in read(dict, loaded, "config file").items():
+        if bad := placeholder(read(dict, loaded, "config file")):
+            raise ConfigError(f"config file {config_path} key {bad}, not a finite JSON number")
+        for key, value in loaded.items():
             if key == "_meta":
                 continue  # resolved configs carry their metadata block along
             if key not in known:

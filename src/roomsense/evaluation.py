@@ -8,8 +8,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDataError, IntegrityError
+from .errors import ConfigError, IntegrityError
 from .frames import CSV_BLOCK_ROWS, SensorFrame, csv_blocks, csv_line
+from .nn.layers import chunked
 from .pipeline import (
     DEFAULT_MAX_GAP_S,
     ScalerParams,
@@ -25,21 +26,14 @@ from .schema import dump, load
 NO_PREDICTION = -1
 
 
-def _chunked(method, X: np.ndarray, batch_size: int) -> np.ndarray:
-    """``method`` over finite windows in chunks, which bounds layer-cache memory."""
-    if not np.isfinite(X).all():
-        raise DegenerateDataError("a window holds a missing or non-finite cell")
-    return np.concatenate([method(X[i:i + batch_size]) for i in range(0, len(X), batch_size)])
-
-
 def predict_probabilities(model, X: np.ndarray, batch_size: int = 512) -> np.ndarray:
     """Head probabilities in eval mode; DegenerateDataError on a non-finite window."""
-    return _chunked(model.predict_proba, X, batch_size)
+    return chunked(model.predict_proba, X, batch_size)
 
 
 def feature_matrix(model, X: np.ndarray, batch_size: int = 512) -> np.ndarray:
     """Model feature space (GAP output / last hidden / latent); non-finite windows raise."""
-    return _chunked(model.feature_space, X, batch_size)
+    return chunked(model.feature_space, X, batch_size)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..nn import Dense, Lstm, ParamStore
 from ..nn.checkpoint import Checkpoint
-from ..nn.layers import Relu, head_probabilities
+from ..nn.layers import Relu, chunked, head_probabilities
 from ..rng import Rng
 from .config import AutoencoderConfig, HeadConfig, from_arch
 
@@ -30,6 +30,12 @@ def _build_encoder(store: ParamStore, config: AutoencoderConfig, rng: Rng) -> li
                            return_sequence=not last))
         in_ch = h
     return layers
+
+
+def _run_encoder(encoder: list[Lstm], x: np.ndarray, train: bool) -> np.ndarray:
+    for layer in encoder:
+        x = layer.forward(x, train)
+    return x
 
 
 class RecurrentAutoencoder:
@@ -50,21 +56,20 @@ class RecurrentAutoencoder:
         self.out_dense = Dense(self.store, "out", in_ch, config.in_channels, rng)
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.encoder:
-            x = layer.forward(x)
-        return x
+        """Latent codes in eval mode, in chunks."""
+        return chunked(lambda xb: _run_encoder(self.encoder, xb, False), x)
 
-    def decode(self, z: np.ndarray, length: int) -> np.ndarray:
+    def decode(self, z: np.ndarray, length: int, train: bool) -> np.ndarray:
         x = np.repeat(z[:, :, None], length, axis=2)
         for layer in self.decoder:
-            x = layer.forward(x)
+            x = layer.forward(x, train)
         n, c, _ = x.shape
         flat = np.ascontiguousarray(np.moveaxis(x, 1, 2)).reshape(n * length, c)
-        out = self.out_dense.forward(flat)
+        out = self.out_dense.forward(flat, train)
         return np.moveaxis(out.reshape(n, length, -1), 2, 1)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        return self.decode(self.encode(x), x.shape[2])
+        return self.decode(_run_encoder(self.encoder, x, train), x.shape[2], train)
 
     def backward(self, drecon: np.ndarray) -> np.ndarray:
         n, _, length = drecon.shape
@@ -95,7 +100,7 @@ class _DenseHead:
         self.fc2 = Dense(store, "head.fc2", config.hidden, config.classes, rng)
 
     def forward(self, z: np.ndarray, train: bool = False) -> np.ndarray:
-        return self.fc2.forward(self.act.forward(self.fc1.forward(z)))
+        return self.fc2.forward(self.act.forward(self.fc1.forward(z, train), train), train)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         return self.fc1.backward(self.act.backward(self.fc2.backward(dlogits)))
@@ -122,14 +127,14 @@ class EncoderClassifier:
         self.suffix = _DenseHead(self.store, ae_config.latent, head, rng)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        return self.suffix.forward(self.feature_space(x))
+        return self.suffix.forward(self.feature_space(x), train)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         # encoder is frozen; gradient stops at the latent code
         return self.suffix.backward(dlogits)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return head_probabilities(self.forward(x, train=False), self.config.head_mode)
+        return chunked(lambda xb: head_probabilities(self.forward(xb), self.config.head_mode), x)
 
     # the autoencoder's own encode loop, run over this model's frozen copy
     feature_space = RecurrentAutoencoder.encode

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import BatchNorm1d, Conv1d, Dense, GlobalAvgPool, ParamStore, Relu
-from ..nn.layers import head_probabilities
+from ..nn.layers import chunked, head_probabilities
 from ..rng import Rng
 from .config import FcnConfig
 
@@ -34,13 +34,14 @@ class FcnClassifier:
             in_ch = f
         self.gap = GlobalAvgPool()
         self.head = Dense(self.store, "head", in_ch, config.classes, rng)
-        self._features: np.ndarray | None = None
+
+    def _features(self, x: np.ndarray, train: bool) -> np.ndarray:
+        for conv, bn, act in zip(self.convs, self.bns, self.relus):
+            x = act.forward(bn.forward(conv.forward(x, train), train), train)
+        return self.gap.forward(x)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        for conv, bn, act in zip(self.convs, self.bns, self.relus):
-            x = act.forward(bn.forward(conv.forward(x), train))
-        self._features = self.gap.forward(x)
-        return self.head.forward(self._features)
+        return self.head.forward(self._features(x, train), train)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         dx = self.gap.backward(self.head.backward(dlogits))
@@ -50,12 +51,11 @@ class FcnClassifier:
         return dx
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return head_probabilities(self.forward(x, train=False), self.config.head_mode)
+        return chunked(lambda xb: head_probabilities(self.forward(xb), self.config.head_mode), x)
 
     def feature_space(self, x: np.ndarray) -> np.ndarray:
         """GAP output in eval mode (the input to the linear head)."""
-        self.forward(x, train=False)
-        return self._features
+        return chunked(lambda xb: self._features(xb, False), x)
 
 
 def build_fcn(config: FcnConfig, seed: int = 0) -> FcnClassifier:

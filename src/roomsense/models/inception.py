@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigError, ShapeError
 from ..nn import BatchNorm1d, Conv1d, Dense, GlobalAvgPool, MaxPool1dSame, ParamStore, Relu
-from ..nn.layers import head_probabilities
+from ..nn.layers import chunked, head_probabilities
 from ..rng import Rng, derive_seed
 from .config import InceptionConfig
 
@@ -35,12 +35,12 @@ class _InceptionModule:
         self.nf = nf
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
-        b = self.bottleneck.forward(x)
-        outs = [conv.forward(b) for conv in self.branches]
-        outs.append(self.pool_conv.forward(self.pool.forward(x)))
+        b = self.bottleneck.forward(x, train)
+        outs = [conv.forward(b, train) for conv in self.branches]
+        outs.append(self.pool_conv.forward(self.pool.forward(x, train), train))
         # joined along the memory (last) axis, so the result stays channels-last
         cat = np.concatenate([o.transpose(0, 2, 1) for o in outs], axis=2).transpose(0, 2, 1)
-        return self.act.forward(self.bn.forward(cat, train))
+        return self.act.forward(self.bn.forward(cat, train), train)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         dcat = self.bn.backward(self.act.backward(dout))
@@ -81,9 +81,8 @@ class InceptionNetwork:
                 block_in = width
         self.gap = GlobalAvgPool()
         self.head = Dense(self.store, "head", width, config.classes, rng)
-        self._features: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def _features(self, x: np.ndarray, train: bool) -> np.ndarray:
         if x.shape[1] != self.config.in_channels:
             raise ShapeError(
                 f"inception expected {self.config.in_channels} channels, got {x.shape[1]}")
@@ -92,10 +91,12 @@ class InceptionNetwork:
             x = mod.forward(x, train)
             if d % 3 == 2:
                 sc = self.shortcuts[d]
-                x = x + (res if sc is None else sc.forward(res))
+                x = x + (res if sc is None else sc.forward(res, train))
                 res = x
-        self._features = self.gap.forward(x)
-        return self.head.forward(self._features)
+        return self.gap.forward(x)
+
+    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        return self.head.forward(self._features(x, train), train)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         dx = self.gap.backward(self.head.backward(dlogits))
@@ -110,11 +111,10 @@ class InceptionNetwork:
         return dx
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return head_probabilities(self.forward(x, train=False), self.config.head_mode)
+        return chunked(lambda xb: head_probabilities(self.forward(xb), self.config.head_mode), x)
 
     def feature_space(self, x: np.ndarray) -> np.ndarray:
-        self.forward(x, train=False)
-        return self._features
+        return chunked(lambda xb: self._features(xb, False), x)
 
 
 def build_inception(config: InceptionConfig, seed: int = 0) -> InceptionNetwork:

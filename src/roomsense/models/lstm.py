@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Dense, Dropout, Lstm, ParamStore
-from ..nn.layers import head_probabilities
+from ..nn.layers import chunked, head_probabilities
 from ..rng import Rng
 from .config import LstmConfig
 
@@ -23,23 +23,20 @@ class LstmClassifier:
         width = config.hidden * (2 if config.bidirectional else 1)
         self.dropout = Dropout(config.dropout, rng.spawn(1))
         self.head = Dense(self.store, "head", width, config.classes, rng)
-        self._hidden: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        self._hidden = self.lstm.forward(x)
-        return self.head.forward(self.dropout.forward(self._hidden, train))
+        return self.head.forward(self.dropout.forward(self.lstm.forward(x, train), train), train)
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
         dh = self.dropout.backward(self.head.backward(dlogits))
         return self.lstm.backward(dh)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return head_probabilities(self.forward(x, train=False), self.config.head_mode)
+        return chunked(lambda xb: head_probabilities(self.forward(xb), self.config.head_mode), x)
 
     def feature_space(self, x: np.ndarray) -> np.ndarray:
         """Last hidden state (concatenated over directions), eval mode."""
-        self.forward(x, train=False)
-        return self._hidden
+        return chunked(lambda xb: self.lstm.forward(xb, False), x)
 
 
 def build_lstm_classifier(config: LstmConfig, seed: int = 0) -> LstmClassifier:

@@ -1,8 +1,11 @@
 """Layer forward/backward pairs.
 
-Every layer caches what its backward pass needs on the instance, so a layer
-instance is exclusively owned during one forward/backward cycle. Gradients
-accumulate into the ParamStore buffers (the optimizer zeroes them).
+In the layers the models run, only a train-mode forward caches what backward
+needs, on the instance, so a layer instance is exclusively owned during one
+forward/backward cycle; an eval-mode forward (``train=False``) keeps no array.
+Every model passes ``train`` down; the ``train=True`` defaults of Conv1d, Relu,
+Dense, MaxPool1dSame and Lstm serve only a layer run on its own (gradient tests).
+Gradients accumulate into the ParamStore buffers (the optimizer zeroes them).
 
 Shapes are logical (N, C, L) and inputs may have any strides. Conv1d,
 BatchNorm1d and MaxPool1dSame compute in channels-last (N, L, C) buffers and
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError, DegenerateDataError, ShapeError
 from ..rng import Rng
 from .params import ParamStore
 
@@ -53,6 +56,14 @@ def head_probabilities(logits: np.ndarray, head_mode: str) -> np.ndarray:
     return sigmoid(logits)
 
 
+def chunked(method, x: np.ndarray, chunk: int = 512) -> np.ndarray:
+    """``method`` over ``chunk`` windows at a time, so its memory is one chunk's;
+    DegenerateDataError if any window holds a non-finite cell."""
+    if not np.isfinite(x).all():
+        raise DegenerateDataError("a window holds a missing or non-finite cell")
+    return np.concatenate([method(x[i:i + chunk]) for i in range(0, len(x), chunk)])
+
+
 def glorot_limit(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
@@ -77,7 +88,7 @@ class Conv1d:
         self.left_pad = (kernel - 1) // 2
         self._flat: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         n, c, length = x.shape
         if c != self.in_channels:
             raise ShapeError(f"{self.w.name}: expected {self.in_channels} channels, got {c}")
@@ -97,7 +108,7 @@ class Conv1d:
         tap = np.empty((m, self.filters))
         for j in range(1, k):
             out[:m] += np.matmul(flat[j:j + m], taps[j], out=tap)
-        self._flat = flat
+        self._flat = flat if train else None
         return out.reshape(n, padded, self.filters)[:, :length].transpose(0, 2, 1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -167,13 +178,13 @@ class BatchNorm1d:
             centered = x2 - mean
         invstd = 1.0 / np.sqrt(var + self.eps)
         xhat = np.multiply(centered, invstd, out=centered)
-        self._cache = (xhat, invstd, train)
+        self._cache = (xhat, invstd) if train else None
         out = xhat * self.gamma.value
         out += self.beta.value
         return out.reshape(n, length, c).transpose(0, 2, 1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        xhat, invstd, train = self._cache
+        xhat, invstd = self._cache
         n, c, length = dout.shape
         d2 = dout.transpose(0, 2, 1).reshape(n * length, c)
         sum_d = d2.sum(axis=0)
@@ -181,8 +192,6 @@ class BatchNorm1d:
         self.gamma.grad += sum_d_xhat
         self.beta.grad += sum_d
         scale = self.gamma.value * invstd
-        if not train:
-            return (d2 * scale).reshape(n, length, c).transpose(0, 2, 1)
         # gamma * invstd / r * (r * d - sum(d) - xhat * sum(d * xhat))
         r = n * length
         dx = d2 * r
@@ -196,8 +205,8 @@ class Relu:
     def __init__(self):
         self._mask = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+        self._mask = x > 0 if train else None
         return relu(x)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -279,11 +288,11 @@ class Dense:
         self.b = store.add(f"{name}.b", np.zeros(out_dim))
         self._x = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 2 or x.shape[1] != self.w.value.shape[0]:
             raise ShapeError(
                 f"{self.w.name}: expected (N, {self.w.value.shape[0]}), got {x.shape}")
-        self._x = x
+        self._x = x if train else None
         return x @ self.w.value + self.b.value
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -300,13 +309,13 @@ class MaxPool1dSame:
     def __init__(self):
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         n, c, length = x.shape
         xp = np.full((n, length + 2, c), -np.inf)
         xp[:, 1:1 + length] = x.transpose(0, 2, 1)
         stacked = np.stack([xp[:, j:j + length] for j in range(self.KERNEL)])
         arg = stacked.argmax(axis=0)
-        self._cache = (arg, length)
+        self._cache = (arg, length) if train else None
         return np.take_along_axis(stacked, arg[None], axis=0)[0].transpose(0, 2, 1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -345,7 +354,7 @@ class _LstmDirection:
         self._gate_shift = np.where(self._gate_scale == 0.5, 0.5, 0.0)
         self._cache = None
 
-    def forward(self, xs: np.ndarray) -> np.ndarray:
+    def forward(self, xs: np.ndarray, train: bool) -> np.ndarray:
         """xs is (L, N, C) in consumption order; returns hidden states (L, N, H)."""
         length, n, c = xs.shape
         h = self.hidden
@@ -371,7 +380,7 @@ class _LstmDirection:
                 cells[t] += z[:, h:2 * h] * cells[t - 1]
             np.tanh(cells[t], out=tanh_c[t])
             np.multiply(z[:, 3 * h:], tanh_c[t], out=hs[t])
-        self._cache = (x2, gates, cells, tanh_c, hs)
+        self._cache = (x2, gates, cells, tanh_c, hs) if train else None
         return hs
 
     def backward(self, dh_seq: np.ndarray) -> np.ndarray:
@@ -430,18 +439,18 @@ class Lstm:
                    if bidirectional else None)
         self._length = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         n, c, length = x.shape
         if c != self.in_channels:
             raise ShapeError(f"lstm expected {self.in_channels} channels, got {c}")
         self._length = length
         xs = np.ascontiguousarray(np.moveaxis(x, 2, 0))  # (L, N, C)
-        hs_f = self.fw.forward(xs)
+        hs_f = self.fw.forward(xs, train)
         if self.bw is None:
             if self.return_sequence:
                 return np.moveaxis(hs_f, 0, 2)
             return hs_f[-1].copy()
-        hs_b = self.bw.forward(xs[::-1])
+        hs_b = self.bw.forward(xs[::-1], train)
         if self.return_sequence:
             out = np.concatenate([hs_f, hs_b[::-1]], axis=2)  # (L, N, 2H)
             return np.moveaxis(out, 0, 2)

@@ -15,6 +15,7 @@ document; neither lets NaN or ±Infinity through, as RFC 8259 JSON has none.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 import types
 from dataclasses import MISSING, fields, is_dataclass
@@ -103,6 +104,17 @@ def parse(text: str) -> tuple[object, list[str]]:
     found: list[str] = []
     value = json.loads(text, parse_constant=lambda name: found.append(name) or _NotJson(name))
     return value, found
+
+
+def placeholder(value, path: str = "") -> str | None:
+    """``key holds literal`` for the first ``parse`` placeholder in ``value``, or
+    the first float it read as infinite (such as 1e999), at ``path``."""
+    if isinstance(value, _NotJson) or isinstance(value, float) and not math.isfinite(value):
+        return f"{_key(path)} holds {value}"
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    return next(filter(None, (placeholder(v, f"{path}[{k}]" if isinstance(k, int) else
+                                          f"{path}.{k}" if path else k) for k, v in items)), None)
 
 
 def load(tp, text: str, what: str):

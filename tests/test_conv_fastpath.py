@@ -18,7 +18,7 @@ from roomsense.rng import Rng
 REL_TOL = 1e-12
 
 
-def _ref_conv_forward(self, x):
+def _ref_conv_forward(self, x, train=True):
     n, c, length = x.shape
     k = self.kernel
     xp = np.zeros((n, c, length + k - 1))
@@ -144,6 +144,8 @@ def test_batchnorm_matches_reference(n, length, channels_last, eval_mode, monkey
         bn.beta.value[...] = Rng(4).normal(size=6)
         bn.forward(x_first, train=True)  # records running statistics
         out = bn.forward(x, train=not eval_mode)
+        if eval_mode:  # an eval-mode forward keeps no backward cache
+            return {"output": out, **_states(store)}
         dx = bn.backward(dout)
         return {"output": out, "input gradient": dx, "gamma gradient": bn.gamma.grad.copy(),
                 "beta gradient": bn.beta.grad.copy(), **_states(store)}

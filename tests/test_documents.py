@@ -26,6 +26,7 @@ from roomsense.errors import IntegrityError
 from roomsense.nn.checkpoint import architecture_fingerprint
 from roomsense.pca import PcaModel, pca_fit
 from roomsense.rng import Rng
+from roomsense.schema import parse, placeholder
 from roomsense.synth import ScenarioConfig
 
 DELETE = object()
@@ -390,3 +391,22 @@ def test_non_finite_numbers_and_thresholds_are_refused(stages, tmp_path, capsys,
     }[case]
     got, err = run([*argv(), "--out", tmp_path / "out"], capsys)
     assert (got, named in err) == (code, True), err
+
+
+@pytest.mark.parametrize("how", ["--set", "--config"])
+def test_float_beyond_float64_exits_1_before_any_output(tmp_path, capsys, how):
+    """json reads 1e999 as inf; a config refuses it naming the key before --out is made."""
+    train = '{"epochs": 1, "lr_max": 1e999}'
+    argv = ["train", "--set", f"train={train}"]
+    if how == "--config":
+        argv = ["train", "--config", tmp_path / "config.json"]
+        argv[-1].write_text(f'{{"train": {train}}}')
+    out = tmp_path / "out"
+    got, err = run([*argv, "--out", out], capsys)
+    assert (got, "train.lr_max holds inf" in err, out.exists()) == (1, True, False), err
+
+
+def test_placeholder_names_the_first_non_finite_value():
+    assert placeholder(parse('{"a": [1, -1e999], "b": NaN}')[0]) == "a[1] holds -inf"
+    assert placeholder(parse('[1e308, {"c": Infinity}]')[0], "k") == "k[1].c holds Infinity"
+    assert placeholder(parse('{"a": [1e308, 0.5]}')[0]) is None

@@ -27,7 +27,7 @@ def _mask_sigmoid(x):
 
 
 class _PerStepDirection(layers._LstmDirection):
-    def forward(self, xs):
+    def forward(self, xs, train):
         length, n, _ = xs.shape
         h = self.hidden
         w_ih, w_hh, b = self.w_ih.value, self.w_hh.value, self.b.value
@@ -89,7 +89,7 @@ def _run(build, x, seed=3):
     """Forward, backward with a seeded output gradient; returns out, dx, grads."""
     model = build()
     model.store.zero_grads()
-    out = model.forward(x)
+    out = model.forward(x, train=True)
     dout = Rng(seed).normal(size=out.shape)
     dx = model.backward(dout)
     return out, dx, {p.name: p.grad.copy() for p in model.store if p.trainable}
@@ -113,8 +113,8 @@ class _Single:
         self.lstm = Lstm(self.store, "l", channels, hidden, Rng(11),
                          bidirectional=bidirectional, return_sequence=return_sequence)
 
-    def forward(self, x):
-        return self.lstm.forward(x)
+    def forward(self, x, train):
+        return self.lstm.forward(x, train)
 
     def backward(self, dout):
         return self.lstm.backward(dout)
