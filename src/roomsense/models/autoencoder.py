@@ -71,17 +71,16 @@ class RecurrentAutoencoder:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         return self.decode(_run_encoder(self.encoder, x, train), x.shape[2], train)
 
-    def backward(self, drecon: np.ndarray) -> np.ndarray:
+    def backward(self, drecon: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         n, _, length = drecon.shape
         dflat = np.ascontiguousarray(np.moveaxis(drecon, 1, 2)).reshape(n * length, -1)
         dx = self.out_dense.backward(dflat)
         dx = np.moveaxis(dx.reshape(n, length, -1), 2, 1)
         for layer in reversed(self.decoder):
             dx = layer.backward(dx)
-        dz = dx.sum(axis=2)  # repeated latent collects gradient from every step
-        dx = self.encoder[-1].backward(dz)
-        for layer in reversed(self.encoder[:-1]):
-            dx = layer.backward(dx)
+        dx = dx.sum(axis=2)  # repeated latent collects gradient from every step
+        for i in range(len(self.encoder) - 1, -1, -1):
+            dx = self.encoder[i].backward(dx, input_grad or i > 0)
         return dx
 
     feature_space = encode
@@ -102,8 +101,8 @@ class _DenseHead:
     def forward(self, z: np.ndarray, train: bool = False) -> np.ndarray:
         return self.fc2.forward(self.act.forward(self.fc1.forward(z, train), train), train)
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
-        return self.fc1.backward(self.act.backward(self.fc2.backward(dlogits)))
+    def backward(self, dlogits: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        return self.fc1.backward(self.act.backward(self.fc2.backward(dlogits)), input_grad)
 
 
 class EncoderClassifier:
@@ -129,9 +128,9 @@ class EncoderClassifier:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         return self.suffix.forward(self.feature_space(x), train)
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, dlogits: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         # encoder is frozen; gradient stops at the latent code
-        return self.suffix.backward(dlogits)
+        return self.suffix.backward(dlogits, input_grad)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return chunked(lambda xb: head_probabilities(self.forward(xb), self.config.head_mode), x)

@@ -43,11 +43,11 @@ class FcnClassifier:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         return self.head.forward(self._features(x, train), train)
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, dlogits: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         dx = self.gap.backward(self.head.backward(dlogits))
-        for conv, bn, act in zip(reversed(self.convs), reversed(self.bns),
-                                 reversed(self.relus)):
-            dx = conv.backward(bn.backward(act.backward(dx)))
+        for b in range(len(self.convs) - 1, -1, -1):
+            dx = self.bns[b].backward(self.relus[b].backward(dx))
+            dx = self.convs[b].backward(dx, input_grad or b > 0)
         return dx
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ class _InceptionModule:
         cat = np.concatenate([o.transpose(0, 2, 1) for o in outs], axis=2).transpose(0, 2, 1)
         return self.act.forward(self.bn.forward(cat, train), train)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         dcat = self.bn.backward(self.act.backward(dout))
         nf = self.nf
         db = None
@@ -50,8 +50,9 @@ class _InceptionModule:
             piece = conv.backward(dcat[:, i * nf:(i + 1) * nf])
             db = piece if db is None else db + piece
         k = len(self.branches)
-        dx_pool = self.pool.backward(self.pool_conv.backward(dcat[:, k * nf:(k + 1) * nf]))
-        return self.bottleneck.backward(db) + dx_pool
+        dpool = self.pool_conv.backward(dcat[:, k * nf:(k + 1) * nf], input_grad)
+        dx = self.bottleneck.backward(db, input_grad)
+        return dx + self.pool.backward(dpool) if input_grad else None
 
 
 class InceptionNetwork:
@@ -98,16 +99,19 @@ class InceptionNetwork:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         return self.head.forward(self._features(x, train), train)
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, dlogits: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         dx = self.gap.backward(self.head.backward(dlogits))
-        pending: list[np.ndarray] = []
+        pending: list[np.ndarray | None] = []
         for d in range(self.config.depth - 1, -1, -1):
+            # the first module and the first shortcut read the model's input
+            needed = input_grad or d > 2
             if d % 3 == 2:
                 sc = self.shortcuts[d]
-                pending.append(dx if sc is None else sc.backward(dx))
-            dx = self.modules[d].backward(dx)
+                pending.append(dx if sc is None else sc.backward(dx, needed))
+            dx = self.modules[d].backward(dx, input_grad or d > 0)
             if d % 3 == 0:
-                dx = dx + pending.pop()
+                shortcut = pending.pop()
+                dx = dx + shortcut if needed else None
         return dx
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

@@ -27,9 +27,9 @@ class LstmClassifier:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         return self.head.forward(self.dropout.forward(self.lstm.forward(x, train), train), train)
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, dlogits: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         dh = self.dropout.backward(self.head.backward(dlogits))
-        return self.lstm.backward(dh)
+        return self.lstm.backward(dh, input_grad)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         return chunked(lambda xb: head_probabilities(self.forward(xb), self.config.head_mode), x)

@@ -5,8 +5,8 @@ channels C, length L. Layers accept any strides. Conv1d and BatchNorm1d keep
 activations channels-last in memory, so their (N, C, L) outputs, and those of
 the layers after them, may be transposed views of (N, L, C) buffers. Layers
 implement exact forward/backward pairs, parameters live in a named ParamStore
-with paired gradient buffers and per-buffer trainable flags, and Adam with
-cosine scheduling drives updates.
+whose buffers and paired gradients are views of one flat arena each, with
+per-buffer trainable flags, and Adam with cosine scheduling drives updates.
 """
 
 from .params import AdamState, Param, ParamStore, adam_step, cosine_lr

@@ -2,8 +2,8 @@
 
 ``save_checkpoint(path, ...)`` writes the manifest (architecture config, its
 fingerprint, buffer names/shapes/flags, seed, step and ``blob_sha256``) to
-``<path>.json`` and the buffers in manifest order as little-endian float64 to
-``<path>.bin``; the round trip is bit-exact. ``load_checkpoint`` lets the
+``<path>.json`` and the store's value arena (the buffers in manifest order) as
+little-endian float64 to ``<path>.bin``; the round trip is bit-exact. ``load_checkpoint`` lets the
 container check the manifest's keys and the blob before it reads any buffer,
 then recomputes the architecture fingerprint.
 """
@@ -43,7 +43,7 @@ def save_checkpoint(path: str | Path, arch: dict, store: ParamStore,
                for p in store]
     container.save(path, {"architecture": arch, "fingerprint": architecture_fingerprint(arch),
                           "buffers": buffers, "seed": seed, "step": step},
-                   [p.value for p in store])
+                   [store.value_arena])
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,19 @@ Gradients accumulate into the ParamStore buffers (the optimizer zeroes them).
 Shapes are logical (N, C, L) and inputs may have any strides. Conv1d,
 BatchNorm1d and MaxPool1dSame compute in channels-last (N, L, C) buffers and
 return transposed views of them; Relu keeps the layout it is given, and the
-GlobalAvgPool gradient is a broadcast view. A convolution is K GEMMs, one per
-tap, over one zero-padded (N * (L + K - 1), C) buffer; no im2col matrix is
-built.
+GlobalAvgPool gradient is a broadcast view.
+
+A convolution takes one of two kernels, by the one rule L*L <= K*(L+K-1) that
+compares their multiply counts. On short windows it is banded: the taps that
+reach data go through a fixed 0/1 (L*L, taps) matrix into an (L*C, L*F) band,
+so forward is one GEMM of the (N, L*C) input with the band, dx one GEMM with
+its transpose, and dW one GEMM folded back through the same 0/1 matrix.
+Otherwise it is K GEMMs, one per tap, over one zero-padded (N * (L + K - 1), C)
+buffer. Neither builds an input-sized im2col matrix.
+
+Conv1d, Dense and Lstm take ``backward(dout, input_grad=False)``, which skips
+the input gradient and returns None; the training loop asks that of a model's
+first layer, whose input gradient nobody reads.
 
 Conventions that the parameter accounting depends on: convolutions carry no
 bias (batch norm follows every convolution), batch norm contributes one gamma
@@ -22,6 +32,8 @@ into single (4H, C), (4H, H) weight matrices plus ONE combined (4H,) bias.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,11 +80,26 @@ def glorot_limit(fan_in: int, fan_out: int) -> float:
     return float(np.sqrt(6.0 / (fan_in + fan_out)))
 
 
+@lru_cache(maxsize=64)
+def _band_map(length: int, kernel: int) -> tuple[slice, np.ndarray]:
+    """The taps of a length-preserving convolution that reach data in a window
+    of ``length``, and the 0/1 (L*L, taps) matrix whose row (l', l) marks the
+    tap that joins input row l' to output row l."""
+    left_pad = (kernel - 1) // 2
+    taps = slice(max(0, left_pad - length + 1), min(kernel, left_pad + length))
+    rows = np.arange(length)
+    tap = rows[:, None] - rows[None, :] + left_pad - taps.start  # (l', l)
+    spread = (tap.reshape(-1, 1) == np.arange(taps.stop - taps.start)).astype(np.float64)
+    spread.flags.writeable = False
+    return taps, spread
+
+
 class Conv1d:
     """1-D cross-correlation, stride 1, zero padding to preserve length.
 
     Left pad is floor((K-1)/2) and right pad ceil((K-1)/2), so the output has
-    exactly the input length for every K >= 1. No bias term.
+    exactly the input length for every K >= 1. No bias term. Windows with
+    L*L <= K*(L+K-1) take the banded kernel, longer ones the per-tap kernel.
     """
 
     def __init__(self, store: ParamStore, name: str, in_channels: int,
@@ -86,13 +113,22 @@ class Conv1d:
         self.filters = filters
         self.kernel = kernel
         self.left_pad = (kernel - 1) // 2
-        self._flat: np.ndarray | None = None
+        self._cache: tuple[np.ndarray, np.ndarray | None] | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         n, c, length = x.shape
         if c != self.in_channels:
             raise ShapeError(f"{self.w.name}: expected {self.in_channels} channels, got {c}")
-        k, lp = self.kernel, self.left_pad
+        k, lp, f = self.kernel, self.left_pad, self.filters
+        if length * length <= k * (length + k - 1):
+            reach, spread = _band_map(length, k)
+            # band[(l', c), (l, f)] = w[f, c, l' - l + left_pad], zero off the band
+            band = self.w.value[:, :, reach].reshape(f * c, -1) @ spread.T
+            band = band.reshape(f, c, length, length).transpose(2, 1, 3, 0)
+            band = band.reshape(length * c, length * f)
+            x2 = x.transpose(0, 2, 1).reshape(n, length * c)
+            self._cache = (x2, band) if train else None
+            return (x2 @ band).reshape(n, length, f).transpose(0, 2, 1)
         padded = length + k - 1
         xp = np.empty((n, padded, c))
         xp[:, :lp] = 0.0
@@ -103,34 +139,43 @@ class Conv1d:
         flat = xp.reshape(n * padded, c)
         m = flat.shape[0] - (k - 1)
         taps = self.w.value.transpose(2, 1, 0).copy()  # (K, C, F), one GEMM operand per tap
-        out = np.empty((n * padded, self.filters))
+        out = np.empty((n * padded, f))
         np.matmul(flat[:m], taps[0], out=out[:m])
-        tap = np.empty((m, self.filters))
+        tap = np.empty((m, f))
         for j in range(1, k):
             out[:m] += np.matmul(flat[j:j + m], taps[j], out=tap)
-        self._flat = flat if train else None
-        return out.reshape(n, padded, self.filters)[:, :length].transpose(0, 2, 1)
+        self._cache = (flat, None) if train else None
+        return out.reshape(n, padded, f)[:, :length].transpose(0, 2, 1)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        flat = self._flat
-        n, _, length = dout.shape
-        k, lp = self.kernel, self.left_pad
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        flat, band = self._cache
+        n, f, length = dout.shape
+        k, lp, c = self.kernel, self.left_pad, self.in_channels
+        if band is not None:
+            reach, spread = _band_map(length, k)
+            d2 = dout.transpose(0, 2, 1).reshape(n, length * f)
+            dband = (flat.T @ d2).reshape(length, c, length, f).transpose(3, 1, 0, 2)
+            self.w.grad[:, :, reach] += (dband.reshape(f * c, -1) @ spread).reshape(f, c, -1)
+            if not input_grad:
+                return None
+            return (d2 @ band.T).reshape(n, length, c).transpose(0, 2, 1)
         padded = length + k - 1
-        c = flat.shape[1]
-        d = np.empty((n, padded, self.filters))
+        d = np.empty((n, padded, f))
         d[:, length:] = 0.0  # the junk rows must add nothing
         d[:, :length] = dout.transpose(0, 2, 1)
         m = flat.shape[0] - (k - 1)
-        d = d.reshape(n * padded, self.filters)[:m]
+        d = d.reshape(n * padded, f)[:m]
+        for j in range(k):
+            self.w.grad[:, :, j] += d.T @ flat[j:j + m]
+        if not input_grad:
+            return None
         taps = self.w.value.transpose(2, 0, 1).copy()  # (K, F, C)
         dflat = np.empty_like(flat)
         dflat[m:] = 0.0
         np.matmul(d, taps[0], out=dflat[:m])
         tap = np.empty((m, c))
-        for j in range(k):
-            self.w.grad[:, :, j] += d.T @ flat[j:j + m]
-            if j:
-                dflat[j:j + m] += np.matmul(d, taps[j], out=tap)
+        for j in range(1, k):
+            dflat[j:j + m] += np.matmul(d, taps[j], out=tap)
         return dflat.reshape(n, padded, c)[:, lp:lp + length].transpose(0, 2, 1)
 
 
@@ -295,16 +340,18 @@ class Dense:
         self._x = x if train else None
         return x @ self.w.value + self.b.value
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         self.w.grad += self._x.T @ dout
         self.b.grad += dout.sum(axis=0)
-        return dout @ self.w.value.T
+        return dout @ self.w.value.T if input_grad else None
 
 
 class MaxPool1dSame:
-    """Max pool, kernel 3, stride 1, same padding (used by inception modules)."""
+    """Max pool, kernel 3, stride 1, same padding (used by inception modules).
 
-    KERNEL = 3
+    The gradient goes to the first maximum of each window, as argmax would
+    send it.
+    """
 
     def __init__(self):
         self._cache = None
@@ -313,17 +360,23 @@ class MaxPool1dSame:
         n, c, length = x.shape
         xp = np.full((n, length + 2, c), -np.inf)
         xp[:, 1:1 + length] = x.transpose(0, 2, 1)
-        stacked = np.stack([xp[:, j:j + length] for j in range(self.KERNEL)])
-        arg = stacked.argmax(axis=0)
-        self._cache = (arg, length) if train else None
-        return np.take_along_axis(stacked, arg[None], axis=0)[0].transpose(0, 2, 1)
+        left, mid, right = xp[:, :length], xp[:, 1:1 + length], xp[:, 2:]
+        out = np.maximum(left, mid)
+        np.maximum(out, right, out=out)
+        if train:
+            first = left == out
+            self._cache = (first, (mid == out) & ~first, length)
+        else:
+            self._cache = None
+        return out.transpose(0, 2, 1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        arg, length = self._cache
+        first, second, length = self._cache
         d = dout.transpose(0, 2, 1)
         dxp = np.zeros((d.shape[0], length + 2, d.shape[2]))
-        for j in range(self.KERNEL):
-            dxp[:, j:j + length] += d * (arg == j)
+        dxp[:, :length] += d * first
+        dxp[:, 1:1 + length] += d * second
+        dxp[:, 2:] += d * ~(first | second)
         return dxp[:, 1:1 + length].transpose(0, 2, 1)
 
 
@@ -383,7 +436,7 @@ class _LstmDirection:
         self._cache = (x2, gates, cells, tanh_c, hs) if train else None
         return hs
 
-    def backward(self, dh_seq: np.ndarray) -> np.ndarray:
+    def backward(self, dh_seq: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         """dh_seq is (L, N, H) in consumption order; returns dxs (L, N, C)."""
         x2, gates, cells, tanh_c, hs = self._cache
         length, n, h = hs.shape
@@ -414,6 +467,8 @@ class _LstmDirection:
         if length > 1:
             self.w_hh.grad += dzs[1:].reshape(-1, 4 * h).T @ hs[:-1].reshape(-1, h)
         self.b.grad += dz2.sum(axis=0)
+        if not input_grad:
+            return None
         return (dz2 @ self.w_ih.value).reshape(length, n, -1)
 
 
@@ -456,7 +511,7 @@ class Lstm:
             return np.moveaxis(out, 0, 2)
         return np.concatenate([hs_f[-1], hs_b[-1]], axis=1)
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         length = self._length
         h = self.hidden
         n = dout.shape[0]
@@ -471,7 +526,9 @@ class Lstm:
             if self.bw is not None:
                 dh_b = np.zeros((length, n, h))
                 dh_b[-1] = dout[:, h:]
-        dxs = self.fw.backward(dh_f)
+        dxs = self.fw.backward(dh_f, input_grad)
         if self.bw is not None:
-            dxs = dxs + self.bw.backward(dh_b)[::-1]
-        return np.moveaxis(dxs, 0, 2)
+            dxs_b = self.bw.backward(dh_b, input_grad)
+            if input_grad:
+                dxs = dxs + dxs_b[::-1]
+        return np.moveaxis(dxs, 0, 2) if input_grad else None

@@ -8,8 +8,9 @@ such as ``decisions.'person'`` or ``buffers[3].shape``: ConfigError (CLI exit
 Annotations: int, float, str, bool and unions of them (``float | None``),
 ``list[T]``, ``tuple[T, ...]``, ``tuple[T, T]``, ``dict[str, T]``, bare
 ``list`` and ``dict``, and dataclasses. JSON ``true`` is not a number, and a
-float also takes a JSON int. ``dump`` writes and ``load`` reads every JSON
-document; neither lets NaN or ±Infinity through, as RFC 8259 JSON has none.
+float also takes a JSON int that float64 can hold. ``dump`` writes and
+``load`` reads every JSON document; neither lets NaN or ±Infinity through, as
+RFC 8259 JSON has none.
 """
 
 from __future__ import annotations
@@ -43,9 +44,28 @@ def _fields(cls) -> dict[str, tuple[object, bool]]:
             for f in fields(cls)}
 
 
+@cache
+def _int_as_float(tp) -> bool:
+    """Whether ``tp`` takes a JSON int only as a float."""
+    members = get_args(tp) if isinstance(tp, types.UnionType) else (tp,)
+    return float in members and int not in members
+
+
+def _beyond_float(value) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
+
+
 def _key(path: str) -> str:
     """A top-level key quoted (``'seed'``), a nested path as built (``decisions.'person'``)."""
     return repr(path) if path.isidentifier() else path
+
+
+def _where(what: str, path: str) -> str:
+    return f"{what} key {_key(path)}" if path else what
 
 
 def read(tp, value, what: str, error: type[Exception] = ConfigError,
@@ -62,17 +82,24 @@ def read(tp, value, what: str, error: type[Exception] = ConfigError,
     items = _scalar_types(item)
     if (scalars := _scalar_types(tp)) is not None:
         ok = type(value) in scalars
-    elif origin in (list, tuple) or tp is list:
-        fixed = origin is tuple and args[-1] is not Ellipsis  # tuple[T, T]: one item type
-        ok = (isinstance(value, (list, tuple)) and (not fixed or len(value) == len(args))
-              and (items is None or set(map(type, value)) <= items))
+        if ok and type(value) is int and _int_as_float(tp) and _beyond_float(value):
+            raise error(f"{_where(what, path)} is beyond the float64 range: "
+                        f"{reprlib.repr(value)}")
     else:
-        ok = isinstance(value, dict) and (items is None or set(map(type, value.values())) <= items)
+        if origin in (list, tuple) or tp is list:
+            fixed = origin is tuple and args[-1] is not Ellipsis  # tuple[T, T]: one item type
+            ok = isinstance(value, (list, tuple)) and (not fixed or len(value) == len(args))
+            kinds = set(map(type, value)) if ok and items is not None else set()
+        else:
+            ok = isinstance(value, dict)
+            kinds = set(map(type, value.values())) if ok and items is not None else set()
+        ok = ok and (items is None or kinds <= items)
+        if int in kinds and _int_as_float(item):
+            items = None  # checked item by item below, where an int beyond float64 is named
     if not ok:
-        where = f"{what} key {_key(path)}" if path else what
         expected = ("a JSON object" if is_dataclass(tp) or tp is dict
                     else str(tp) if origin else tp.__name__)
-        raise error(f"{where} must be {expected}, got {reprlib.repr(value)}")
+        raise error(f"{_where(what, path)} must be {expected}, got {reprlib.repr(value)}")
     if is_dataclass(tp):
         spec = _fields(tp)
         at = {name: f"{path}.{name}" if path else name for name in (*spec, *value)}

@@ -161,7 +161,7 @@ def _train_loop(model, train: WindowSet, valid: WindowSet, cfg: TrainConfig,
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite training loss at epoch {epoch}", epoch=epoch)
-            net.backward(grad)
+            net.backward(grad, input_grad=False)  # nothing reads the gradient of the windows
             lr = (cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
                   if cfg.schedule == "cosine" else cfg.lr_max)
             adam_step(model.store, state, lr)

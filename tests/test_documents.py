@@ -406,6 +406,32 @@ def test_float_beyond_float64_exits_1_before_any_output(tmp_path, capsys, how):
     assert (got, "train.lr_max holds inf" in err, out.exists()) == (1, True, False), err
 
 
+@pytest.mark.parametrize("where", ["eval threshold", "train lr_max", "scaler mean"])
+def test_integer_beyond_float64_in_a_float_key_is_named(stages, tmp_path, capsys, where):
+    """A JSON int is a valid float, but float() of one beyond float64 raised OverflowError."""
+    big = "1" + "0" * 400
+    scaler = stages / "train/scaler.json"
+    evaluate = ["eval", "--set", f"checkpoint={stages}/train/model",
+                "--set", f"windows={stages}/sample/windows"]
+    if where == "eval threshold":
+        argv = [*evaluate, "--set", f"scaler={scaler}", "--set", f"threshold={big}"]
+        code, named = 1, "config key 'threshold' is beyond the float64 range"
+    elif where == "train lr_max":
+        argv = ["train", "--set", f"train_windows={stages}/sample/windows",
+                "--set", f"valid_windows={stages}/sample/windows",
+                "--set", f"model={json.dumps(LSTM)}", "--set", f'train={{"lr_max": {big}}}']
+        code, named = 1, "train config key 'lr_max' is beyond the float64 range"
+    else:
+        text = scaler.read_text()
+        doc = json.loads(text)
+        bad = tmp_path / "scaler.json"
+        bad.write_text(text.replace(repr(doc["mean"][0]), big, 1))
+        argv = [*evaluate, "--set", f"scaler={bad}"]
+        code, named = 2, "key mean[0] is beyond the float64 range"
+    got, err = run([*argv, "--out", tmp_path / "out"], capsys)
+    assert (got, named in err) == (code, True), err
+
+
 def test_placeholder_names_the_first_non_finite_value():
     assert placeholder(parse('{"a": [1, -1e999], "b": NaN}')[0]) == "a[1] holds -inf"
     assert placeholder(parse('[1e308, {"c": Infinity}]')[0], "k") == "k[1].c holds Infinity"

@@ -48,7 +48,7 @@ class _PerStepDirection(layers._LstmDirection):
         self._cache = (xs, gi, gf, gg, go, cells, tanh_c, hs)
         return hs
 
-    def backward(self, dh_seq):
+    def backward(self, dh_seq, input_grad=True):
         xs, gi, gf, gg, go, cells, tanh_c, hs = self._cache
         length, n, _ = xs.shape
         h = self.hidden
@@ -72,7 +72,7 @@ class _PerStepDirection(layers._LstmDirection):
             dxs[t] = dz @ w_ih
             dh_next = dz @ w_hh
             dc_next = dc * gf[t]
-        return dxs
+        return dxs if input_grad else None
 
 
 def _rel_err(got, want):

@@ -44,8 +44,99 @@ class TestParamStore:
         store.restore(snap)
         assert p.value.tolist() == [0.0, 1.0, 2.0, 3.0]
 
+    def test_every_buffer_is_a_view_of_the_arenas_in_store_order(self):
+        from roomsense.models import InceptionConfig, build_inception
+        store = build_inception(InceptionConfig(in_channels=5, depth=3), seed=1).store
+        values, grads = store.value_arena, store.grad_arena
+        offset = 0
+        for p in store:
+            size = p.value.size
+            assert np.shares_memory(p.value, values) and np.shares_memory(p.grad, grads)
+            assert p.value.ctypes.data == values[offset:].ctypes.data
+            assert p.grad.ctypes.data == grads[offset:].ctypes.data
+            offset += size
+        assert offset == values.size == grads.size
+        assert values.tobytes() == b"".join(p.value.tobytes() for p in store)
+
+    def test_growing_keeps_values_and_params(self):
+        store = ParamStore()
+        first = store.add("a", np.arange(3.0))
+        first.grad[...] = 2.0
+        for i in range(40):  # many moves of the arenas
+            store.add(f"b{i}", np.full((i % 4 + 1, 2), float(i)))
+        assert store["a"] is first
+        assert first.value.tolist() == [0.0, 1.0, 2.0] and first.grad.tolist() == [2.0] * 3
+        assert np.shares_memory(first.value, store.value_arena)
+        assert store["b39"].value.tolist() == [[39.0, 39.0]] * 4
+
+    def test_snapshot_is_one_copy_of_the_arena(self):
+        store = ParamStore()
+        store.add("w", np.arange(4.0))
+        store.add("b", np.ones(2), trainable=False)
+        snap = store.snapshot()
+        assert snap.tolist() == [0.0, 1.0, 2.0, 3.0, 1.0, 1.0]
+        assert not np.shares_memory(snap, store.value_arena)
+
+
+def _per_buffer_adam(store, moments, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-buffer Adam loop, kept as the oracle of the blocked update."""
+    bias1 = 1.0 - b1 ** t
+    bias2 = 1.0 - b2 ** t
+    for p in store:
+        if not p.trainable:
+            continue
+        g = p.grad
+        m, v = moments[p.name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p.value -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
+        g[...] = 0.0
+
 
 class TestAdam:
+    def test_blocked_update_matches_per_buffer_loop_bit_for_bit(self, monkeypatch):
+        """Frozen buffers split the runs, and a small block size splits the
+        buffers, so runs, blocks and buffer edges all fall in different places."""
+        from roomsense.nn import params
+        monkeypatch.setattr(params, "ADAM_BLOCK", 7)
+        shapes = [((3, 4), True), ((5,), True), ((2,), False), ((4, 3), True),
+                  ((1,), False), ((2,), False), ((9,), True), ((6,), False)]
+
+        def build():
+            store = ParamStore()
+            for i, (shape, trainable) in enumerate(shapes):
+                store.add(f"b{i}", Rng(i).normal(size=shape), trainable=trainable)
+            return store
+
+        blocked, oracle = build(), build()
+        state = AdamState(blocked)
+        moments = {p.name: (np.zeros_like(p.value), np.zeros_like(p.value)) for p in oracle}
+        rng = Rng(99)
+        for t in range(1, 51):
+            for p, q in zip(blocked, oracle):
+                p.grad[...] = q.grad[...] = rng.normal(size=p.value.shape) * 10.0 ** (t % 5 - 2)
+            lr = 0.05 / t
+            adam_step(blocked, state, lr)
+            _per_buffer_adam(oracle, moments, t, lr)
+        assert blocked.value_arena.tobytes() == oracle.value_arena.tobytes()
+        assert blocked.grad_arena.tobytes() == oracle.grad_arena.tobytes()
+        for p in oracle:
+            assert state.m[p.name].tobytes() == moments[p.name][0].tobytes()
+            assert state.v[p.name].tobytes() == moments[p.name][1].tobytes()
+            assert np.shares_memory(state.m[p.name], state.m_arena)
+
+    def test_nonfinite_gradient_in_a_later_block_names_its_buffer(self, monkeypatch):
+        from roomsense.nn import params
+        monkeypatch.setattr(params, "ADAM_BLOCK", 4)
+        store = ParamStore()
+        store.add("a", np.ones(6))
+        store.add("frozen", np.ones(3), trainable=False).grad[0] = np.inf
+        store.add("b", np.ones(5)).grad[3] = np.inf
+        with pytest.raises(TrainingDivergedError, match="'b'"):
+            adam_step(store, AdamState(store), lr=0.1)
+
     def test_zero_gradient_no_change(self):
         store = ParamStore()
         p = store.add("w", np.ones(3))

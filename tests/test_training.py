@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ class ScriptedModel:
     def forward(self, x, train=False):
         return np.full((x.shape[0], 1), self.w.value[0])
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         self.w.grad += grad.sum()
 
     def predict_proba(self, x):
@@ -219,6 +221,60 @@ class TestTrainAutoencoder:
                                                  latent=3, window=5), seed=4)
         with pytest.raises(ConfigError):
             train_autoencoder(ae, ws, TrainConfig(epochs=1, seed=1))
+
+
+class TestInputGradientSkip:
+    """The training loop asks for no input gradient; the weights must not notice."""
+
+    @pytest.mark.parametrize("kind", ["fcn", "lstm", "inception", "inception_same_width",
+                                      "autoencoder", "encoder_classifier"])
+    def test_weights_bit_identical_with_and_without_the_skip(self, kind, monkeypatch):
+        from roomsense.models import (AutoencoderConfig, HeadConfig, InceptionConfig,
+                                      LstmConfig, build_autoencoder, build_encoder_classifier,
+                                      build_inception, build_lstm_classifier)
+        from roomsense.models.autoencoder import _DenseHead
+        ws = labelled_windows(n_samples=1500)
+        train, valid = split_fraction(ws, 0.8, seed=9)
+        cfg = TrainConfig(epochs=2, batch_size=32, lr_max=3e-3, seed=5, early_stopping=False)
+        ae_cfg = AutoencoderConfig(in_channels=4, encoder_hidden=(6, 5), latent=3, window=7)
+        builds = {
+            "fcn": lambda: build_fcn(FcnConfig(in_channels=4, filters=(6, 5), kernels=(5, 3)), 1),
+            "lstm": lambda: build_lstm_classifier(
+                LstmConfig(in_channels=4, hidden=5, bidirectional=True), 1),
+            "inception": lambda: build_inception(
+                InceptionConfig(in_channels=4, filters=2, bottleneck=3, depth=6), 1),
+            "inception_same_width": lambda: build_inception(
+                InceptionConfig(in_channels=8, filters=2, bottleneck=3, depth=3), 1),
+            "autoencoder": lambda: build_autoencoder(ae_cfg, 1),
+            "encoder_classifier": lambda: build_encoder_classifier(
+                build_autoencoder(ae_cfg, 1), HeadConfig(hidden=4), 2),
+        }
+        if kind == "inception_same_width":  # the first shortcut is the identity
+            train, valid = (replace(w, X=np.concatenate([w.X, -w.X], axis=1),
+                                    channel_names=w.channel_names + tuple(
+                                        f"-{c}" for c in w.channel_names))
+                            for w in (train, valid))
+
+        def run():
+            model = builds[kind]()
+            if kind == "autoencoder":
+                _, history = train_autoencoder(model, train, cfg)
+            else:
+                _, history = train_classifier(model, train, valid, cfg)
+            return model.store.value_arena.tobytes(), history.train_loss, history.valid_loss
+
+        net_cls = _DenseHead if kind == "encoder_classifier" else type(builds[kind]())
+        backward = net_cls.backward
+        returned = []
+        with monkeypatch.context() as m:
+            m.setattr(net_cls, "backward", lambda self, d, input_grad=True: returned.append(
+                backward(self, d, input_grad)))
+            skipped = run()
+        assert returned and all(r is None for r in returned)
+        with monkeypatch.context() as m:  # the input gradient computed even when not asked for
+            m.setattr(net_cls, "backward", lambda self, d, input_grad=True: backward(self, d))
+            full = run()
+        assert skipped == full
 
 
 class TestTrainConfigValidation:
