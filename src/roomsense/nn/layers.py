@@ -41,6 +41,9 @@ from ..errors import ConfigError, DegenerateDataError, ShapeError
 from ..rng import Rng
 from .params import ParamStore
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function in tanh form, 0.5 * (1 + tanh(x / 2)).
@@ -182,13 +185,12 @@ class Conv1d:
 class BatchNorm1d:
     """Per-channel batch normalization over the (N, L) axes.
 
-    Train mode normalizes with batch statistics (population variance,
-    eps=1e-5) and updates running stats with momentum 0.1; eval mode uses the
-    running stats and fails if none were ever recorded.
+    Train mode normalizes with batch statistics (population variance plus
+    BN_EPS) and updates running stats with momentum BN_MOMENTUM; eval mode
+    uses the running stats and fails if none were ever recorded.
     """
 
-    def __init__(self, store: ParamStore, name: str, channels: int,
-                 eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, store: ParamStore, name: str, channels: int):
         self.gamma = store.add(f"{name}.gamma", np.ones(channels))
         self.beta = store.add(f"{name}.beta", np.zeros(channels))
         self.running_mean = store.add(f"{name}.running_mean", np.zeros(channels),
@@ -197,8 +199,6 @@ class BatchNorm1d:
                                      trainable=False)
         self.initialized = store.add(f"{name}.initialized", np.zeros(1),
                                      trainable=False)
-        self.eps = eps
-        self.momentum = momentum
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool) -> np.ndarray:
@@ -210,7 +210,7 @@ class BatchNorm1d:
             mean = x2.mean(axis=0)
             centered = x2 - mean
             var = (centered * centered).mean(axis=0)  # what x2.var(axis=0) computes
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean.value[...] = (1 - m) * self.running_mean.value + m * mean
             self.running_var.value[...] = (1 - m) * self.running_var.value + m * var
             self.initialized.value[...] = 1.0
@@ -221,7 +221,7 @@ class BatchNorm1d:
             mean = self.running_mean.value
             var = self.running_var.value
             centered = x2 - mean
-        invstd = 1.0 / np.sqrt(var + self.eps)
+        invstd = 1.0 / np.sqrt(var + BN_EPS)
         xhat = np.multiply(centered, invstd, out=centered)
         self._cache = (xhat, invstd) if train else None
         out = xhat * self.gamma.value

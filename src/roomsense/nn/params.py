@@ -19,6 +19,9 @@ from ..errors import ConfigError, TrainingDivergedError
 
 # elements per Adam block: its temporaries stay in cache, and no per-buffer loop
 ADAM_BLOCK = 16_384
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -139,20 +142,14 @@ class ParamStore:
 class AdamState:
     """First/second moment accumulators plus the shared step counter.
 
-    The moments are arenas laid out as the store's values; ``m[name]`` and
-    ``v[name]`` are per-buffer views of them.
+    The moments are arenas laid out as the store's values; ``store.views``
+    gives their per-buffer views.
     """
 
-    def __init__(self, store: ParamStore, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, store: ParamStore):
         self.t = 0
         self.m_arena = np.zeros_like(store.value_arena)
         self.v_arena = np.zeros_like(store.value_arena)
-        self.m = dict(zip(store.names(), store.views(self.m_arena)))
-        self.v = dict(zip(store.names(), store.views(self.v_arena)))
 
 
 def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
@@ -164,9 +161,8 @@ def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
     the result does not depend on the blocking.
     """
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    bias1 = 1.0 - b1 ** state.t
-    bias2 = 1.0 - b2 ** state.t
+    bias1 = 1.0 - ADAM_BETA1 ** state.t
+    bias2 = 1.0 - ADAM_BETA2 ** state.t
     values, grads = store.value_arena, store.grad_arena
     step_buf = np.empty(min(ADAM_BLOCK, values.size))
     denom_buf = np.empty_like(step_buf)
@@ -181,14 +177,14 @@ def adam_step(store: ParamStore, state: AdamState, lr: float) -> None:
                     f"non-finite gradient in buffer {name!r}", buffer=name)
             m, v = state.m_arena[start:stop], state.v_arena[start:stop]
             step, denom = step_buf[:stop - start], denom_buf[:stop - start]
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=step)
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=step)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=step)
             v += np.multiply(step, g, out=step)
             np.divide(v, bias2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += eps
+            denom += ADAM_EPS
             np.divide(m, bias1, out=step)
             step *= lr
             step /= denom

@@ -1,10 +1,8 @@
-"""Two-component PCA by deflated power iteration (no linear-algebra solver).
+"""Two-component PCA from one symmetric eigendecomposition (``numpy.linalg.eigh``).
 
-Components come from iterated power steps on the population covariance with
-re-orthogonalization against the first component, tolerance 1e-10, at most
-10,000 iterations. The start vector is drawn from a fixed internal seed, so
-fits are deterministic. Sign convention: the largest-magnitude entry of each
-component is positive.
+The components are the eigenvectors of the population covariance with the two
+largest eigenvalues, largest first; eigenvalues are clamped at 0. Sign
+convention: the largest-magnitude entry of each component is positive.
 """
 
 from __future__ import annotations
@@ -15,12 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError, IntegrityError
 from .frames import csv_text
-from .rng import Rng
 from .schema import dump, load
-
-_START_SEED = 0x9E3779B9
-_TOL = 1e-10
-_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -55,47 +48,24 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[np.argmax(np.abs(v))] < 0 else v
 
 
-def _power_iterate(cov: np.ndarray, rng: Rng, orthogonal_to: np.ndarray | None) -> tuple[np.ndarray, float]:
-    d = cov.shape[0]
-    v = rng.normal(size=(d,))
-    if orthogonal_to is not None:
-        v -= (v @ orthogonal_to) * orthogonal_to
-    v /= np.linalg.norm(v)
-    for _ in range(_MAX_ITER):
-        w = cov @ v
-        if orthogonal_to is not None:
-            w -= (w @ orthogonal_to) * orthogonal_to
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            break  # this direction carries no variance; keep current v
-        w /= norm
-        if min(np.linalg.norm(w - v), np.linalg.norm(w + v)) < _TOL:
-            v = w
-            break
-        v = w
-    eigenvalue = float(v @ cov @ v)
-    return _fix_sign(v), max(eigenvalue, 0.0)
-
-
 def pca_fit(features: np.ndarray) -> PcaModel:
     """Fit mean + top-2 covariance eigenvectors of an (N, D) feature matrix."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 3 or x.shape[1] < 2:
         raise ConfigError(f"PCA needs an (N>=3, D>=2) matrix, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise DegenerateDataError("feature matrix holds a NaN or an infinity")
     mean = x.mean(axis=0)
     centered = x - mean
     cov = centered.T @ centered / x.shape[0]
     total = float(np.trace(cov))
+    if not np.isfinite(total):
+        raise DegenerateDataError("feature covariance overflows float64")
     if total <= 0.0:
         raise DegenerateDataError("feature matrix has zero variance (rank 0)")
-    rng = Rng(_START_SEED)
-    v1, lam1 = _power_iterate(cov, rng, orthogonal_to=None)
-    deflated = cov - lam1 * np.outer(v1, v1)
-    v2, lam2 = _power_iterate(deflated, rng, orthogonal_to=v1)
-    if lam2 > lam1:  # power iteration stalled on a near-tie; restore the order
-        v1, v2 = v2, _fix_sign(v1 - (v1 @ v2) * v2)
-        lam1, lam2 = lam2, lam1
-    components = np.stack([v1, v2], axis=1)
+    evals, evecs = np.linalg.eigh(cov)  # ascending, so the top two come last
+    components = np.stack([_fix_sign(evecs[:, j]) for j in (-1, -2)], axis=1)
+    lam1, lam2 = (max(float(evals[j]), 0.0) for j in (-1, -2))
     explained = (min(lam1 / total, 1.0), min(lam2 / total, 1.0))
     return PcaModel(mean, components, explained)
 

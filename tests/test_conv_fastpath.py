@@ -18,6 +18,7 @@ import pytest
 
 from roomsense.models import FcnConfig, InceptionConfig, build_fcn, build_inception
 from roomsense.nn import BatchNorm1d, Conv1d, MaxPool1dSame, ParamStore
+from roomsense.nn.layers import BN_EPS, BN_MOMENTUM
 from roomsense.rng import Rng
 
 REL_TOL = 1e-12
@@ -55,14 +56,14 @@ def _ref_bn_forward(self, x, train):
     if train:
         mean = x.mean(axis=(0, 2))
         var = x.var(axis=(0, 2))
-        m = self.momentum
+        m = BN_MOMENTUM
         self.running_mean.value[...] = (1 - m) * self.running_mean.value + m * mean
         self.running_var.value[...] = (1 - m) * self.running_var.value + m * var
         self.initialized.value[...] = 1.0
     else:
         mean = self.running_mean.value
         var = self.running_var.value
-    invstd = 1.0 / np.sqrt(var + self.eps)
+    invstd = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x - mean[None, :, None]) * invstd[None, :, None]
     self._cache = (xhat, invstd, train)
     return self.gamma.value[None, :, None] * xhat + self.beta.value[None, :, None]

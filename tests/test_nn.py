@@ -122,10 +122,11 @@ class TestAdam:
             _per_buffer_adam(oracle, moments, t, lr)
         assert blocked.value_arena.tobytes() == oracle.value_arena.tobytes()
         assert blocked.grad_arena.tobytes() == oracle.grad_arena.tobytes()
-        for p in oracle:
-            assert state.m[p.name].tobytes() == moments[p.name][0].tobytes()
-            assert state.v[p.name].tobytes() == moments[p.name][1].tobytes()
-            assert np.shares_memory(state.m[p.name], state.m_arena)
+        m_views, v_views = blocked.views(state.m_arena), blocked.views(state.v_arena)
+        for p, m, v in zip(oracle, m_views, v_views):
+            assert m.tobytes() == moments[p.name][0].tobytes()
+            assert v.tobytes() == moments[p.name][1].tobytes()
+            assert np.shares_memory(m, state.m_arena)
 
     def test_nonfinite_gradient_in_a_later_block_names_its_buffer(self, monkeypatch):
         from roomsense.nn import params
@@ -151,7 +152,7 @@ class TestAdam:
         state = AdamState(store)
         adam_step(store, state, lr=0.1)
         assert p.value.tolist() == [1.0, 1.0, 1.0]
-        assert state.m["w"].tolist() == [0.0, 0.0, 0.0]
+        assert store.views(state.m_arena)[0].tolist() == [0.0, 0.0, 0.0]
         assert p.grad.tolist() == [5.0, 5.0, 5.0]  # only updated buffers' grads are zeroed
 
     def test_updated_grads_zeroed(self):

@@ -72,6 +72,35 @@ class TestPcaFit:
                 align = abs(model.components[:, j] @ evecs[:, order[j]])
                 assert align > 1.0 - 1e-9
 
+    def test_matches_eigh_oracle_on_a_near_tie(self):
+        """Whitened samples give a covariance whose top two variances are
+        2.0**2 and 1.9998**2 exactly, under a random rotation."""
+        rng = Rng(12)
+        z = rng.normal(size=(2_000, 10))
+        z -= z.mean(axis=0)
+        evals, evecs = np.linalg.eigh(z.T @ z / len(z))
+        z = z @ evecs / np.sqrt(evals)
+        rotation, _ = np.linalg.qr(rng.normal(size=(10, 10)))
+        data = (z * np.array([2.0, 1.9998] + [0.5] * 8)) @ rotation.T
+        model = pca_fit(data)
+        centered = data - data.mean(axis=0)
+        evals, evecs = np.linalg.eigh(centered.T @ centered / len(data))
+        assert evals[-1] / evals[-2] - 1.0 < 3e-4
+        for j in range(2):
+            assert abs(model.explained[j] - evals[-1 - j] / evals.sum()) < 1e-9
+            assert abs(model.components[:, j] @ evecs[:, -1 - j]) > 1.0 - 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        data = Rng(13).normal(size=(20, 3))
+        data[4, 1] = bad
+        with pytest.raises(DegenerateDataError, match="NaN or an infinity"):
+            pca_fit(data)
+
+    def test_covariance_overflow_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(DegenerateDataError, match="overflows"):
+            pca_fit(Rng(14).normal(size=(20, 3)) * 1e200)
+
     def test_rank_zero_rejected(self):
         with pytest.raises(DegenerateDataError):
             pca_fit(np.ones((10, 3)))
