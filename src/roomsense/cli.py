@@ -1,10 +1,12 @@
 """Command-line stages wiring the pipeline into reproducible runs.
 
 Every command reads an optional JSON config (``--config``), applies ``--set
-key=value`` overrides (values parsed as JSON, falling back to strings),
-validates against its documented key set (unknown keys are rejected), writes
-the resolved config next to its outputs, and emits machine-readable JSON/CSV
-artifacts plus a short human-readable summary on stdout. The nested objects
+key=value`` overrides (values parsed as JSON, falling back to strings), and
+checks every key against its table in ``COMMAND_KEYS`` (unknown keys, JSON
+types, required keys) before it writes anything. It emits machine-readable
+JSON/CSV artifacts plus a short human-readable summary on stdout, and writes
+the resolved config, ``config.resolved.json``, next to them only after a
+successful run; a config error leaves no output directory. The nested objects
 (``model``, ``head``, ``train``, ``scenario``, ``space``) are checked by
 ``roomsense.schema.read`` against the fields of their config dataclasses, which
 also supply every default; the CLI fills in only what it derives from the
@@ -25,6 +27,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import get_args
 
 from . import __version__
 from .errors import ConfigError, RoomsenseError, TrainingDivergedError
@@ -83,40 +86,51 @@ from .schema import dump, parse, placeholder, read, read_document
 from .synth import ScenarioConfig, bundled_scenario, generate_fleet, generate_frame
 from .training import TrainConfig, train_autoencoder, train_classifier
 
-# Documented keys (and defaults) per command; unknown keys are rejected.
-COMMAND_KEYS: dict[str, dict] = {
-    "synth": {"out": "runs/synth", "seed": None, "scenario": "bundled",
-              "fleet_devices": 0, "fleet_jitter": 0.02},
-    "clean": {"out": "runs/clean", "in": None, "edge_policy": "trim",
-              "binarize": True},
-    "report-missing": {"out": "runs/report-missing", "in": None},
-    "correlate": {"out": "runs/correlate", "in": None, "variables": None},
-    "select-features": {"out": "runs/select-features", "correlation": None,
-                        "pair_threshold": 0.9,
-                        "classes": ["person", "window_open"]},
-    "sample": {"out": "runs/sample", "in": None, "channels": None,
-               "features_file": None, "length": 7, "stride": 1,
-               "position": "first", "undersample_k": None, "max_gap_s": 360},
-    "split": {"out": "runs/split", "mode": "random", "in": None, "seed": 0,
-              "ratios": [0.7, 0.2, 0.1], "cut_timestamp": None},
-    "train": {"out": "runs/train", "train_windows": None, "valid_windows": None,
-              "model": None, "train": {}, "scaler_kind": "standard", "seed": 0},
-    "tune": {"out": "runs/tune", "train_windows": None, "valid_windows": None,
-             "model_kind": "fcn", "model": {}, "space": None, "trials": 10,
-             "train": {}, "scaler_kind": "standard", "seed": 0},
-    "pretrain-ae": {"out": "runs/pretrain-ae", "windows": None, "model": {},
-                    "train": {}, "scaler_kind": "standard", "seed": 0},
-    "train-head": {"out": "runs/train-head", "encoder": None, "scaler": None,
-                   "train_windows": None, "valid_windows": None, "head": {},
-                   "train": {}, "seed": 0},
-    "eval": {"out": "runs/eval", "checkpoint": None, "scaler": None,
-             "windows": None, "threshold": 0.5, "expect_fingerprint": None},
-    "predict": {"out": "runs/predict", "checkpoint": None, "scaler": None,
-                "in": None, "length": 7, "position": "first", "threshold": 0.5,
-                "max_gap_s": 360, "expect_fingerprint": None},
-    "smooth": {"out": "runs/smooth", "track": None, "width": 3},
-    "pca": {"out": "runs/pca", "checkpoint": None, "scaler": None,
-            "windows": None, "expect_fingerprint": None},
+# Each command's documented keys, checked in this order: (annotation, default). Unknown keys
+# are rejected; a None default that the annotation does not take marks a required key.
+COMMAND_KEYS: dict[str, dict[str, tuple[object, object]]] = {
+    "synth": {"out": (str, "runs/synth"), "seed": (int | None, None),
+              "scenario": (str | dict, "bundled"), "fleet_devices": (int, 0),
+              "fleet_jitter": (float, 0.02)},
+    "clean": {"out": (str, "runs/clean"), "in": (str, None), "edge_policy": (str, "trim"),
+              "binarize": (bool, True)},
+    "report-missing": {"out": (str, "runs/report-missing"), "in": (str, None)},
+    "correlate": {"out": (str, "runs/correlate"), "in": (str, None),
+                  "variables": (list[str] | None, None)},
+    "select-features": {"out": (str, "runs/select-features"), "correlation": (str, None),
+                        "pair_threshold": (float, 0.9),
+                        "classes": (tuple[str, ...], ["person", "window_open"])},
+    "sample": {"out": (str, "runs/sample"), "in": (str, None),
+               "channels": (list[str] | None, None), "features_file": (str | None, None),
+               "length": (int, 7), "stride": (int, 1), "position": (str, "first"),
+               "undersample_k": (int | None, None), "max_gap_s": (int, 360)},
+    "split": {"out": (str, "runs/split"), "mode": (str, "random"), "in": (str, None),
+              "seed": (int, 0), "ratios": (tuple[float, float, float], [0.7, 0.2, 0.1]),
+              "cut_timestamp": (int | None, None)},
+    "train": {"out": (str, "runs/train"), "train_windows": (str, None),
+              "valid_windows": (str, None), "model": (dict, None), "train": (dict, {}),
+              "scaler_kind": (str, "standard"), "seed": (int, 0)},
+    "tune": {"out": (str, "runs/tune"), "train_windows": (str, None),
+             "valid_windows": (str, None), "model_kind": (str, "fcn"), "model": (dict, {}),
+             "space": (dict[str, list] | None, None), "trials": (int, 10), "train": (dict, {}),
+             "scaler_kind": (str, "standard"), "seed": (int, 0)},
+    "pretrain-ae": {"out": (str, "runs/pretrain-ae"), "windows": (str, None),
+                    "model": (dict, {}), "train": (dict, {}), "scaler_kind": (str, "standard"),
+                    "seed": (int, 0)},
+    "train-head": {"out": (str, "runs/train-head"), "encoder": (str, None),
+                   "scaler": (str, None), "train_windows": (str, None),
+                   "valid_windows": (str, None), "head": (dict, {}), "train": (dict, {}),
+                   "seed": (int, 0)},
+    "eval": {"out": (str, "runs/eval"), "checkpoint": (str, None), "scaler": (str, None),
+             "windows": (str, None), "threshold": (float, 0.5),
+             "expect_fingerprint": (str | None, None)},
+    "predict": {"out": (str, "runs/predict"), "checkpoint": (str, None), "scaler": (str, None),
+                "in": (str, None), "length": (int, 7), "position": (str, "first"),
+                "threshold": (float, 0.5), "max_gap_s": (int, 360),
+                "expect_fingerprint": (str | None, None)},
+    "smooth": {"out": (str, "runs/smooth"), "track": (str, None), "width": (int, 3)},
+    "pca": {"out": (str, "runs/pca"), "checkpoint": (str, None), "scaler": (str, None),
+            "windows": (str, None), "expect_fingerprint": (str | None, None)},
 }
 
 
@@ -136,7 +150,7 @@ def _parse_set(value: str) -> tuple[str, object]:
 def resolve_config(command: str, config_path: str | None, overrides: list[str],
                    out: str | None) -> dict:
     known = COMMAND_KEYS[command]
-    resolved = json.loads(json.dumps(known))  # a deep copy of the defaults
+    resolved = json.loads(json.dumps({k: v for k, (_, v) in known.items()}))  # a deep copy
     if config_path:
         try:  # the text only: a config file that is not JSON is a config error
             loaded, _ = parse(read_document(config_path, "config file", parse=str))
@@ -163,39 +177,27 @@ def resolve_config(command: str, config_path: str | None, overrides: list[str],
     return resolved
 
 
-def _require(cfg: dict, key: str) -> object:
-    if cfg.get(key) in (None, ""):
-        raise ConfigError(f"missing required config key {key!r}")
-    return cfg[key]
-
-
-def _path(cfg: dict, key: str) -> str:
-    """The file path that required config key ``key`` holds, checked as a string."""
-    _require(cfg, key)
-    return _value(cfg, key, str)
+def read_command(command: str, cfg: dict) -> dict:
+    """``cfg``'s values checked in the order of ``command``'s key table; floats as floats."""
+    checked = {}
+    for key, (tp, default) in COMMAND_KEYS[command].items():
+        if cfg[key] in (None, "") and default is None and type(None) not in get_args(tp):
+            raise ConfigError(f"missing required config key {key!r}")
+        value = read(tp, cfg[key], "config", path=key)
+        checked[key] = float(value) if tp is float else value
+    return checked
 
 
 def _document(cfg: dict, key: str, cls):
     """``cls.from_json`` of the text of the file that config key ``key`` names."""
-    return read_document(_path(cfg, key), f"config key {key!r} file", cls.from_json)
+    return read_document(cfg[key], f"config key {key!r} file", cls.from_json)
 
 
-def _value(cfg: dict, key: str, tp):
-    """Top-level config value ``key`` checked as ``tp``; a float comes back as a float."""
-    value = read(tp, cfg[key], "config", path=key)
-    return float(value) if tp is float else value
-
-
-def _write(outdir: Path, name: str, text: str) -> None:
-    (outdir / name).write_text(text, encoding="utf-8")
-
-
-def _write_resolved(outdir: Path, command: str, cfg: dict) -> None:
-    # flat and directly consumable via --config; _meta is the normalized
-    # metadata block (no timestamps, so artifacts are byte-stable)
-    doc = {**cfg, "_meta": {"command": command, "tool": "roomsense",
-                            "version": __version__}}
-    _write(outdir, "config.resolved.json", dump(doc))
+def _write(outdir: Path, name: str, data: str | bytes) -> None:
+    """Write ``data`` to ``outdir / name``, making its directory first."""
+    path = outdir / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
 
 
 def _write_track(outdir: Path, track: PredictionTrack) -> None:
@@ -210,8 +212,7 @@ def _load_frame(path: str) -> SensorFrame:
 def _config(cls, doc, what: str, **derived):
     """``cls`` from a nested config object over the values the CLI derives."""
     names = field_names(cls)
-    return read(cls, {**{k: v for k, v in derived.items() if k in names},
-                      **read(dict, doc, what)}, what)
+    return read(cls, {**{k: v for k, v in derived.items() if k in names}, **doc}, what)
 
 
 def _write_history(outdir: Path, history) -> None:
@@ -228,29 +229,29 @@ def cmd_synth(cfg: dict, outdir: Path) -> None:
     scenario = cfg["scenario"]
     sc = (bundled_scenario() if scenario == "bundled"
           else read(ScenarioConfig, scenario, "scenario"))
-    if (seed := _value(cfg, "seed", int | None)) is not None:
-        sc = replace(sc, seed=seed)
+    if cfg["seed"] is not None:
+        sc = replace(sc, seed=cfg["seed"])
+    devices = cfg["fleet_devices"]
+    if devices < 0:
+        raise ConfigError(f"config key 'fleet_devices' must be >= 0, got {devices}")
     _write(outdir, "scenario.json", sc.to_json())
-    devices = _value(cfg, "fleet_devices", int)
     if devices > 0:
-        fleet_dir = outdir / "fleet"
-        fleet_dir.mkdir(exist_ok=True)
-        for frame in generate_fleet(sc, devices, jitter=_value(cfg, "fleet_jitter", float)):
-            (fleet_dir / f"{frame.device_id}.csv").write_bytes(frame_to_csv(frame))
-        print(f"wrote {devices} unlabelled fleet frames to {fleet_dir}")
+        for frame in generate_fleet(sc, devices, jitter=cfg["fleet_jitter"]):
+            _write(outdir, f"fleet/{frame.device_id}.csv", frame_to_csv(frame))
+        print(f"wrote {devices} unlabelled fleet frames to {outdir / 'fleet'}")
     else:
         frame = generate_frame(sc)
-        (outdir / "frame.csv").write_bytes(frame_to_csv(frame))
+        _write(outdir, "frame.csv", frame_to_csv(frame))
         print(f"wrote {len(frame)} labelled rows to {outdir / 'frame.csv'}")
 
 
 def cmd_clean(cfg: dict, outdir: Path) -> None:
-    frame = _load_frame(_path(cfg, "in"))
+    frame = _load_frame(cfg["in"])
     before = missing_report(frame)
     frame = interpolate_missing(frame, cfg["edge_policy"])
-    if _value(cfg, "binarize", bool) and "person" in frame.label_names:
+    if cfg["binarize"] and "person" in frame.label_names:
         frame = binarize_person(frame)
-    (outdir / "clean.csv").write_bytes(frame_to_csv(frame))
+    _write(outdir, "clean.csv", frame_to_csv(frame))
     summary = {"rows": len(frame), "edge_policy": cfg["edge_policy"],
                "missing_filled": {n: c for n, c in zip(before.channel_names, before.counts) if c}}
     _write(outdir, "summary.json", dump(summary))
@@ -258,16 +259,15 @@ def cmd_clean(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_report_missing(cfg: dict, outdir: Path) -> None:
-    report = missing_report(_load_frame(_path(cfg, "in")))
+    report = missing_report(_load_frame(cfg["in"]))
     _write(outdir, "missing.json", report.to_json())
     total = sum(report.counts)
     print(f"{total} missing cells over {report.total_rows} rows -> {outdir / 'missing.json'}")
 
 
 def cmd_correlate(cfg: dict, outdir: Path) -> None:
-    frame = _load_frame(_path(cfg, "in"))
-    variables = (_value(cfg, "variables", list[str]) if cfg["variables"]
-                 else [*frame.channel_names, *frame.label_names])
+    frame = _load_frame(cfg["in"])
+    variables = cfg["variables"] or [*frame.channel_names, *frame.label_names]
     matrix = pearson_matrix(frame, variables)
     _write(outdir, "correlation.json", matrix.to_json())
     print(f"{len(variables)}x{len(variables)} correlation matrix -> "
@@ -276,24 +276,21 @@ def cmd_correlate(cfg: dict, outdir: Path) -> None:
 
 def cmd_select_features(cfg: dict, outdir: Path) -> None:
     matrix = _document(cfg, "correlation", CorrelationMatrix)
-    features = select_features(matrix, _value(cfg, "pair_threshold", float),
-                               _value(cfg, "classes", tuple[str, ...]))
+    features = select_features(matrix, cfg["pair_threshold"], cfg["classes"])
     _write(outdir, "features.json", features.to_json())
     print(f"retained {len(features.names)} features: {', '.join(features.names)}")
 
 
 def cmd_sample(cfg: dict, outdir: Path) -> None:
-    frame = _load_frame(_path(cfg, "in"))
+    frame = _load_frame(cfg["in"])
     if cfg["channels"]:
-        channels = _value(cfg, "channels", list[str])
+        channels = cfg["channels"]
     elif cfg["features_file"]:
         channels = list(_document(cfg, "features_file", FeatureSet).names)
     else:
         channels = list(frame.channel_names)
-    windows = build_windows(frame, channels, _value(cfg, "length", int),
-                            _value(cfg, "stride", int), cfg["position"],
-                            _value(cfg, "undersample_k", int | None),
-                            _value(cfg, "max_gap_s", int))
+    windows = build_windows(frame, channels, cfg["length"], cfg["stride"], cfg["position"],
+                            cfg["undersample_k"], cfg["max_gap_s"])
     windows.save(outdir / "windows")
     print(f"{len(windows)} windows of shape ({len(channels)}, {cfg['length']}) -> "
           f"{outdir / 'windows.bin'}")
@@ -301,21 +298,20 @@ def cmd_sample(cfg: dict, outdir: Path) -> None:
 
 def cmd_split(cfg: dict, outdir: Path) -> None:
     if cfg["mode"] == "random":
-        spec = SplitSpec(ratios=_value(cfg, "ratios", tuple[float, float, float]),
-                         seed=_value(cfg, "seed", int))
-        windows = WindowSet.load(_path(cfg, "in"))
+        spec = SplitSpec(ratios=cfg["ratios"], seed=cfg["seed"])
+        windows = WindowSet.load(cfg["in"])
         train, valid, test = split_random(windows, spec)
         train.save(outdir / "train")
         valid.save(outdir / "valid")
         test.save(outdir / "test")
         print(f"split {len(windows)} windows -> {len(train)}/{len(valid)}/{len(test)}")
     elif cfg["mode"] == "time":
-        frame = _load_frame(_path(cfg, "in"))
-        _require(cfg, "cut_timestamp")
-        cut = _value(cfg, "cut_timestamp", int)
+        frame = _load_frame(cfg["in"])
+        if (cut := cfg["cut_timestamp"]) is None:
+            raise ConfigError("missing required config key 'cut_timestamp'")
         train, test = split_time(frame, cut)
-        (outdir / "train.csv").write_bytes(frame_to_csv(train))
-        (outdir / "test.csv").write_bytes(frame_to_csv(test))
+        _write(outdir, "train.csv", frame_to_csv(train))
+        _write(outdir, "test.csv", frame_to_csv(test))
         print(f"time split at {cut}: {len(train)} train rows, {len(test)} test rows")
     else:
         raise ConfigError(f"split mode must be random|time, got {cfg['mode']!r}")
@@ -323,7 +319,7 @@ def cmd_split(cfg: dict, outdir: Path) -> None:
 
 def _model_arch(cfg_model: dict, windows: WindowSet) -> dict:
     """The model's dataclass defaults, then what the windows give, then the user's keys."""
-    doc = dict(read(dict, cfg_model, "model config"))
+    doc = dict(cfg_model)
     kind = doc.pop("kind", None)
     if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(f"model config needs a 'kind' ({'|'.join(KINDS)}), got {kind!r}")
@@ -333,15 +329,14 @@ def _model_arch(cfg_model: dict, windows: WindowSet) -> dict:
 
 
 def cmd_train(cfg: dict, outdir: Path) -> None:
-    train_w = WindowSet.load(_path(cfg, "train_windows"))
-    valid_w = WindowSet.load(_path(cfg, "valid_windows"))
-    seed = _value(cfg, "seed", int)
-    arch = _model_arch(_require(cfg, "model"), train_w)
+    train_w = WindowSet.load(cfg["train_windows"])
+    valid_w = WindowSet.load(cfg["valid_windows"])
+    arch = _model_arch(cfg["model"], train_w)
     scaler = fit_scaler(cfg["scaler_kind"], train_w)
     train_s = transform(scaler, train_w)
     valid_s = transform(scaler, valid_w)
-    model = build_model(arch, seed=seed)
-    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=seed)
+    model = build_model(arch, seed=cfg["seed"])
+    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=cfg["seed"])
     model, history = train_classifier(model, train_s, valid_s, tcfg)
     save_model(model, outdir / "model", step=len(history))
     _write(outdir, "scaler.json", scaler.to_json())
@@ -352,18 +347,17 @@ def cmd_train(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_tune(cfg: dict, outdir: Path) -> None:
-    train_w = WindowSet.load(_path(cfg, "train_windows"))
-    valid_w = WindowSet.load(_path(cfg, "valid_windows"))
-    seed = _value(cfg, "seed", int)
+    train_w = WindowSet.load(cfg["train_windows"])
+    valid_w = WindowSet.load(cfg["valid_windows"])
     scaler = fit_scaler(cfg["scaler_kind"], train_w)
     train_s = transform(scaler, train_w)
     valid_s = transform(scaler, valid_w)
     kind = cfg["model_kind"]
-    base = {**read(dict, cfg["model"], "model config"), "kind": kind}
+    base = {**cfg["model"], "kind": kind}
     blocks = len(read(tuple[int, ...], base.get("kernels", FcnConfig.kernels), "model config",
                       path="kernels"))
     if cfg["space"] is not None:
-        space = SearchSpace(read(dict[str, list], cfg["space"], "space"))
+        space = SearchSpace(cfg["space"])
     elif kind == "fcn":
         space = fcn_search_space(blocks=blocks)
     elif kind == "lstm":
@@ -376,9 +370,9 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
             params = {"filters": [params[f"filters{i}"] for i in range(blocks)]}
         return build_model(_model_arch({**base, **params}, train_w), seed=trial_seed)
 
-    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=seed)
-    trials, best = random_search(space, build, train_s, valid_s, tcfg,
-                                 _value(cfg, "trials", int), seed)
+    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=cfg["seed"])
+    trials, best = random_search(space, build, train_s, valid_s, tcfg, cfg["trials"],
+                                 cfg["seed"])
     _write(outdir, "trials.json", trials_to_json(trials, best))
     names = sorted(space.grids)
     index, f1, wall, *params = zip(*((t.index, t.f1_mean, t.wall_seconds,
@@ -390,14 +384,12 @@ def cmd_tune(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_pretrain_ae(cfg: dict, outdir: Path) -> None:
-    windows = WindowSet.load(_path(cfg, "windows"))
-    seed = _value(cfg, "seed", int)
-    arch = _model_arch({**read(dict, cfg["model"], "model config"), "kind": "autoencoder"},
-                       windows)
+    windows = WindowSet.load(cfg["windows"])
+    arch = _model_arch({**cfg["model"], "kind": "autoencoder"}, windows)
     scaler = fit_scaler(cfg["scaler_kind"], windows)
     scaled = transform(scaler, windows)
-    model = build_model(arch, seed=seed)
-    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=seed)
+    model = build_model(arch, seed=cfg["seed"])
+    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=cfg["seed"])
     model, history = train_autoencoder(model, scaled, tcfg)
     save_model(model, outdir / "model", step=len(history))
     _write(outdir, "scaler.json", scaler.to_json())
@@ -407,14 +399,13 @@ def cmd_pretrain_ae(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_train_head(cfg: dict, outdir: Path) -> None:
-    ckpt = load_checkpoint(_path(cfg, "encoder"))
+    ckpt = load_checkpoint(cfg["encoder"])
     scaler = _document(cfg, "scaler", ScalerParams)
-    train_w = WindowSet.load(_path(cfg, "train_windows"))
-    valid_w = WindowSet.load(_path(cfg, "valid_windows"))
-    seed = _value(cfg, "seed", int)
+    train_w = WindowSet.load(cfg["train_windows"])
+    valid_w = WindowSet.load(cfg["valid_windows"])
     head = _config(HeadConfig, cfg["head"], "head config", classes=train_w.Y.shape[1])
-    model = build_encoder_classifier(ckpt, head, seed=seed)
-    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=seed)
+    model = build_encoder_classifier(ckpt, head, seed=cfg["seed"])
+    tcfg = _config(TrainConfig, cfg["train"], "train config", seed=cfg["seed"])
     model, history = train_classifier(model, transform(scaler, train_w),
                                       transform(scaler, valid_w), tcfg)
     save_model(model, outdir / "model", step=len(history))
@@ -424,11 +415,10 @@ def cmd_train_head(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_eval(cfg: dict, outdir: Path) -> None:
-    model = model_from_checkpoint(_path(cfg, "checkpoint"),
-                                  _value(cfg, "expect_fingerprint", str | None))
+    model = model_from_checkpoint(cfg["checkpoint"], cfg["expect_fingerprint"])
     scaler = _document(cfg, "scaler", ScalerParams)
-    windows = transform(scaler, WindowSet.load(_path(cfg, "windows")))
-    metrics, confusions = evaluate(model, windows, _value(cfg, "threshold", float))
+    windows = transform(scaler, WindowSet.load(cfg["windows"]))
+    metrics, confusions = evaluate(model, windows, cfg["threshold"])
     _write(outdir, "metrics.json", metrics.to_json())
     _write(outdir, "metrics.csv", csv_text(
         ["class", "precision", "recall", "f1", "support"],
@@ -442,13 +432,11 @@ def cmd_eval(cfg: dict, outdir: Path) -> None:
 
 
 def cmd_predict(cfg: dict, outdir: Path) -> None:
-    model = model_from_checkpoint(_path(cfg, "checkpoint"),
-                                  _value(cfg, "expect_fingerprint", str | None))
+    model = model_from_checkpoint(cfg["checkpoint"], cfg["expect_fingerprint"])
     scaler = _document(cfg, "scaler", ScalerParams)
-    frame = _load_frame(_path(cfg, "in"))
-    track = predict_timeline(model, frame, scaler, _value(cfg, "length", int),
-                             cfg["position"], _value(cfg, "threshold", float),
-                             _value(cfg, "max_gap_s", int))
+    frame = _load_frame(cfg["in"])
+    track = predict_timeline(model, frame, scaler, cfg["length"], cfg["position"],
+                             cfg["threshold"], cfg["max_gap_s"])
     _write_track(outdir, track)
     covered = int((track.decisions[0] >= 0).sum()) if len(track.class_names) else 0
     print(f"predicted {covered}/{len(track)} timestamps -> {outdir / 'track.json'}")
@@ -456,17 +444,16 @@ def cmd_predict(cfg: dict, outdir: Path) -> None:
 
 def cmd_smooth(cfg: dict, outdir: Path) -> None:
     track = _document(cfg, "track", PredictionTrack)
-    smoothed = smooth(track, _value(cfg, "width", int))
+    smoothed = smooth(track, cfg["width"])
     _write_track(outdir, smoothed)
     flipped = int((smoothed.decisions != track.decisions).sum())
     print(f"smoothing width {cfg['width']} flipped {flipped} decisions")
 
 
 def cmd_pca(cfg: dict, outdir: Path) -> None:
-    model = model_from_checkpoint(_path(cfg, "checkpoint"),
-                                  _value(cfg, "expect_fingerprint", str | None))
+    model = model_from_checkpoint(cfg["checkpoint"], cfg["expect_fingerprint"])
     scaler = _document(cfg, "scaler", ScalerParams)
-    windows = transform(scaler, WindowSet.load(_path(cfg, "windows")))
+    windows = transform(scaler, WindowSet.load(cfg["windows"]))
     features = feature_matrix(model, windows.X)
     pca = pca_fit(features)
     points = pca_project(pca, features)
@@ -503,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, keys in COMMAND_KEYS.items():
-        keylist = ", ".join(f"{k} (default {v!r})" for k, v in keys.items())
+        keylist = ", ".join(f"{k} (default {v!r})" for k, (_, v) in keys.items())
         p = sub.add_parser(name, description=f"Config keys: {keylist}")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -511,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="same as a last --set seed=SEED")
         p.add_argument("--out", help="output directory")
         p.add_argument("--dry-run", action="store_true",
-                       help="check the config's key names and exit without writing")
+                       help="check key names, JSON types and required keys; write nothing")
     return parser
 
 
@@ -520,13 +507,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         seed = [] if args.seed is None else [f"seed={args.seed}"]
         cfg = resolve_config(args.command, args.config, [*args.set, *seed], args.out)
+        checked = read_command(args.command, cfg)
         if args.dry_run:
             print(f"config ok: {json.dumps(cfg, sort_keys=True)}")
             return 0
-        outdir = Path(_value(cfg, "out", str))
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_resolved(outdir, args.command, cfg)
-        COMMANDS[args.command](cfg, outdir)
+        # flat and directly consumable via --config; no timestamps, so it is byte-stable.
+        # Dumped before the run, since the checked values may share lists with cfg.
+        meta = {"command": args.command, "tool": "roomsense", "version": __version__}
+        resolved = dump({**cfg, "_meta": meta})
+        COMMANDS[args.command](checked, Path(checked["out"]))
+        _write(Path(checked["out"]), "config.resolved.json", resolved)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

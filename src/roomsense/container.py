@@ -20,8 +20,9 @@ from . import schema
 
 def save(path: str | Path, header: dict, arrays) -> None:
     """Write ``arrays`` as the blob and ``header`` plus ``blob_sha256`` as the
-    header, with sorted keys and a 2-space indent."""
+    header, with sorted keys and a 2-space indent, making their directory."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     blob = b"".join(a.astype(a.dtype.newbyteorder("<"), copy=False).tobytes() for a in arrays)
     path.with_suffix(".bin").write_bytes(blob)
     doc = {**header, "blob_sha256": hashlib.sha256(blob).hexdigest()}

@@ -121,9 +121,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self._params)
 
-    def zero_grads(self) -> None:
-        self.grad_arena[...] = 0.0
-
     def set_trainable(self, flag: bool, prefix: str = "") -> None:
         for p in self._params.values():
             if p.name.startswith(prefix):

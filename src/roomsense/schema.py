@@ -7,7 +7,8 @@ such as ``decisions.'person'`` or ``buffers[3].shape``: ConfigError (CLI exit
 1) for config objects, IntegrityError (exit 2) for documents read from disk.
 Annotations: int, float, str, bool and unions of them (``float | None``),
 ``list[T]``, ``tuple[T, ...]``, ``tuple[T, T]``, ``dict[str, T]``, bare
-``list`` and ``dict``, and dataclasses. JSON ``true`` is not a number, and a
+``list`` and ``dict``, dataclasses, and scalars joined with one of those
+(``list[str] | None``, ``str | dict``). JSON ``true`` is not a number, and a
 float also takes a JSON int that float64 can hold. ``dump`` writes and
 ``load`` reads every JSON document; neither lets NaN or ±Infinity through, as
 RFC 8259 JSON has none.
@@ -77,6 +78,10 @@ def read(tp, value, what: str, error: type[Exception] = ConfigError,
     types in one pass; other items are checked one by one. ``path`` locates
     ``value`` inside the document.
     """
+    shown = tp
+    if isinstance(tp, types.UnionType) and _scalar_types(tp) is None:  # scalars and one other
+        (other,) = (m for m in get_args(tp) if m not in _SCALARS)
+        tp = next((m for m in get_args(tp) if type(value) in _SCALARS.get(m, ())), other)
     origin, args = get_origin(tp), get_args(tp)
     item = (args[-1] if origin is dict else args[0]) if args else None
     items = _scalar_types(item)
@@ -97,7 +102,8 @@ def read(tp, value, what: str, error: type[Exception] = ConfigError,
         if int in kinds and _int_as_float(item):
             items = None  # checked item by item below, where an int beyond float64 is named
     if not ok:
-        expected = ("a JSON object" if is_dataclass(tp) or tp is dict
+        expected = (str(shown) if shown is not tp
+                    else "a JSON object" if is_dataclass(tp) or tp is dict
                     else str(tp) if origin else tp.__name__)
         raise error(f"{_where(what, path)} must be {expected}, got {reprlib.repr(value)}")
     if is_dataclass(tp):

@@ -111,7 +111,7 @@ def test_criterion_1_parameter_counts():
 # ---------------------------------------------------------------------------
 
 def _grad_check_params(loss_fn, run_backward, store, h=1e-5):
-    store.zero_grads()
+    store.grad_arena[...] = 0.0
     run_backward()
     worst = 0.0
     for p in store:
@@ -279,7 +279,7 @@ def _end_to_end_gradient_sweep() -> float:
 
     def check(model, x, loss_of, h=1e-5):
         nonlocal worst
-        model.store.zero_grads()
+        model.store.grad_arena[...] = 0.0
         out = model.forward(x, train=True)
         _, grad = loss_of(out)
         model.backward(grad)

@@ -422,6 +422,65 @@ class TestValidation:
         assert (target / "missing.json").exists()
 
 
+@pytest.fixture(scope="module")
+def track(tmp_path_factory):
+    """A three-timestamp track.json for ``smooth``."""
+    probs = np.array([[0.25, 0.75, 0.5]])
+    decisions = (probs >= 0.5).astype(np.int8)
+    path = tmp_path_factory.mktemp("track") / "track.json"
+    path.write_text(PredictionTrack(120 * np.arange(3), ("person",), probs, decisions,
+                                    0.5).texts()[0])
+    return path
+
+
+class TestFailedRunMakesNoOutput:
+    """A run that exits 1 leaves no ``--out`` directory, and ``--dry-run`` exits 1
+    on the type and required-key errors a real run exits 1 on."""
+
+    @pytest.mark.parametrize("argv", [
+        ["clean", "--set", "in=CHAIN/synth/frame.csv", "--set", "edge_policy=bogus"],
+        ["eval", "--set", "scaler=CHAIN/train/scaler.json", "--set", "windows=CHAIN/split/test"],
+        ["sample", "--set", "in=CHAIN/clean/clean.csv", "--set", "length=0"],
+        ["split", "--set", "in=CHAIN/sample/windows", "--set", "mode=foo"],
+        ["synth", "--set", "scenario=other"],
+        ["smooth", "--set", "track=TRACK", "--set", "width=0"],
+        ["eval", "--set", "checkpoint=CHAIN/train/model", "--set", "threshold=1.5",
+         "--set", "scaler=CHAIN/train/scaler.json", "--set", "windows=CHAIN/split/test"],
+        ["train", "--set", "train_windows=CHAIN/split/train",
+         "--set", "valid_windows=CHAIN/split/valid",
+         "--set", 'model={"kind":"fcn","filters":[8,8],"kernels":[3]}'],
+    ], ids=["clean edge_policy", "eval without checkpoint", "sample length", "split mode",
+            "synth scenario", "smooth width", "eval threshold", "fcn filters and kernels"])
+    def test_config_error_exits_1_without_output(self, chain, track, tmp_path, argv):
+        out = tmp_path / "out"
+        argv = [a.replace("CHAIN", str(chain)).replace("TRACK", str(track)) for a in argv]
+        assert run([*argv, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_negative_fleet_size_exits_1_naming_the_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["synth", "--set", "fleet_devices=-2", "--out", str(out)]) == 1
+        assert "'fleet_devices'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["smooth", "--set", "track=t.json", "--set", "out=5"],
+        ["clean", "--out", "OUT"],
+        ["smooth", "--set", "track=t.json", "--set", 'width="x"', "--out", "OUT"],
+    ], ids=["out", "missing in", "width"])
+    def test_dry_run_exits_1_on_a_type_or_required_key_error(self, tmp_path, capsys, argv):
+        argv = [a.replace("OUT", str(tmp_path / "out")) for a in argv]
+        assert run([*argv, "--dry-run"]) == 1
+        assert "config ok" not in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_track_exits_2_without_resolved_config(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["smooth", "--set", f"track={tmp_path}/missing.json",
+                    "--out", str(out)]) == 2
+        assert not (out / "config.resolved.json").exists()
+
+
 class TestDeterminism:
     def test_identical_configs_give_byte_identical_artifacts(self, chain, tmp_path):
         outs = []

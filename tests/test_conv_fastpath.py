@@ -164,7 +164,7 @@ def test_batchnorm_matches_reference(n, length, channels_last, eval_mode, monkey
 def _model_run(build, x, dout_seed=3):
     def run():
         model = build()
-        model.store.zero_grads()
+        model.store.grad_arena[...] = 0.0
         out = model.forward(x, train=True)
         dx = model.backward(Rng(dout_seed).normal(size=out.shape))
         grads = {f"{p.name} gradient": p.grad.copy() for p in model.store if p.trainable}

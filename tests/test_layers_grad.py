@@ -27,7 +27,7 @@ from roomsense.rng import Rng
 
 def check_param_gradients(loss_fn, backprop_fn, store, tol, h=1e-5):
     """backprop_fn() must run forward+backward, populating grads from zero."""
-    store.zero_grads()
+    store.grad_arena[...] = 0.0
     backprop_fn()
     for p in store:
         if not p.trainable:

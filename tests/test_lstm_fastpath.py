@@ -88,7 +88,7 @@ def _assert_close(got, want, what):
 def _run(build, x, seed=3):
     """Forward, backward with a seeded output gradient; returns out, dx, grads."""
     model = build()
-    model.store.zero_grads()
+    model.store.grad_arena[...] = 0.0
     out = model.forward(x, train=True)
     dout = Rng(seed).normal(size=out.shape)
     dx = model.backward(dout)

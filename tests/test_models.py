@@ -329,7 +329,7 @@ class TestEndToEndGradients:
     """Loss gradient w.r.t. every trainable buffer matches finite differences."""
 
     def _check(self, model, x, loss_of, tol=1e-4, h=1e-5):
-        model.store.zero_grads()
+        model.store.grad_arena[...] = 0.0
         out = model.forward(x, train=True)
         _, grad = loss_of(out)
         model.backward(grad)
