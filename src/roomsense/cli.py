@@ -227,6 +227,8 @@ def _write_history(outdir: Path, history) -> None:
 
 def cmd_synth(cfg: dict, outdir: Path) -> None:
     scenario = cfg["scenario"]
+    if isinstance(scenario, str) and scenario != "bundled":
+        raise ConfigError(f'scenario must be "bundled" or a JSON object, got {scenario!r}')
     sc = (bundled_scenario() if scenario == "bundled"
           else read(ScenarioConfig, scenario, "scenario"))
     if cfg["seed"] is not None:
@@ -306,9 +308,9 @@ def cmd_split(cfg: dict, outdir: Path) -> None:
         test.save(outdir / "test")
         print(f"split {len(windows)} windows -> {len(train)}/{len(valid)}/{len(test)}")
     elif cfg["mode"] == "time":
-        frame = _load_frame(cfg["in"])
         if (cut := cfg["cut_timestamp"]) is None:
             raise ConfigError("missing required config key 'cut_timestamp'")
+        frame = _load_frame(cfg["in"])
         train, test = split_time(frame, cut)
         _write(outdir, "train.csv", frame_to_csv(train))
         _write(outdir, "test.csv", frame_to_csv(test))

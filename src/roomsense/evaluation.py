@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrityError
 from .frames import CSV_BLOCK_ROWS, SensorFrame, csv_blocks, csv_line
-from .nn.layers import chunked
+from .nn.layers import CHUNK_WINDOWS
 from .pipeline import (
     DEFAULT_MAX_GAP_S,
     ScalerParams,
@@ -26,14 +26,9 @@ from .schema import dump, load
 NO_PREDICTION = -1
 
 
-def predict_probabilities(model, X: np.ndarray, batch_size: int = 512) -> np.ndarray:
-    """Head probabilities in eval mode; DegenerateDataError on a non-finite window."""
-    return chunked(model.predict_proba, X, batch_size)
-
-
-def feature_matrix(model, X: np.ndarray, batch_size: int = 512) -> np.ndarray:
+def feature_matrix(model, X: np.ndarray) -> np.ndarray:
     """Model feature space (GAP output / last hidden / latent); non-finite windows raise."""
-    return chunked(model.feature_space, X, batch_size)
+    return model.feature_space(X)
 
 
 @dataclass(frozen=True)
@@ -70,12 +65,11 @@ def confusions_to_json(confusions: list[ClassConfusion]) -> str:
                  for c in confusions})
 
 
-def evaluate(model, test: WindowSet, threshold: float = 0.5,
-             batch_size: int = 512) -> tuple[Metrics, list[ClassConfusion]]:
+def evaluate(model, test: WindowSet, threshold: float = 0.5) -> tuple[Metrics, list[ClassConfusion]]:
     """Per-class precision/recall/F1 and element-wise accuracy at a threshold in [0, 1]."""
     if not 0.0 <= threshold <= 1.0:  # NaN is not
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold!r}")
-    probs = predict_probabilities(model, test.X, batch_size)
+    probs = model.predict_proba(test.X)
     decisions = probs >= threshold
     truth = test.Y >= 0.5
     names = test.class_names if test.class_names else tuple(
@@ -236,9 +230,7 @@ class PredictionTrack:
 
 def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: int,
                      position: str = "first", threshold: float = 0.5,
-                     max_gap_s: int = DEFAULT_MAX_GAP_S,
-                     class_names: tuple[str, ...] | None = None,
-                     batch_size: int = 512) -> PredictionTrack:
+                     max_gap_s: int = DEFAULT_MAX_GAP_S) -> PredictionTrack:
     """Stride-1 window predictions placed at their label-position timestamp.
 
     Windows never cross gap boundaries, and a window holding any missing or
@@ -249,22 +241,20 @@ def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: in
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold!r}")
     sel = frame.select_channels(scaler.channel_names)
     scaled = transform(scaler, sel)
-    if class_names is None:
-        k = getattr(getattr(model, "config", None), "classes", None)
-        if k is not None and len(frame.label_names) == k:
-            class_names = frame.label_names
-        elif k is not None:
-            class_names = tuple(f"class{j}" for j in range(k))
-        else:
-            class_names = frame.label_names or ("class0",)
-    names = tuple(class_names)
+    k = getattr(getattr(model, "config", None), "classes", None)
+    if k is not None and len(frame.label_names) == k:
+        names = frame.label_names
+    elif k is not None:
+        names = tuple(f"class{j}" for j in range(k))
+    else:
+        names = frame.label_names or ("class0",)
     n = len(frame)
     probs = np.full((len(names), n), np.nan)
     decisions = np.full((len(names), n), NO_PREDICTION, dtype=np.int8)
     if n < length:
         warnings.warn(f"frame of {n} rows is shorter than window length {length}; "
                       "empty track")
-        return PredictionTrack(frame.timestamps, tuple(names), probs, decisions, threshold)
+        return PredictionTrack(frame.timestamps, names, probs, decisions, threshold)
     offset = label_offset(length, position)
     windows = stride1_windows(scaled.values, length)
     # bad[i] counts non-finite rows before row i, so a window's count is a difference
@@ -272,15 +262,15 @@ def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: in
     for seg in split_on_gaps(scaled, max_gap_s):
         starts = np.asarray(slide(seg, length, stride=1), dtype=np.int64)
         starts = starts[bad[starts + length] == bad[starts]]
-        # one predict_probabilities batch per chunk, so only one chunk of
-        # windows is ever copied out of the view
-        for lo in range(0, starts.size, batch_size):
-            chunk = starts[lo:lo + batch_size]
-            p = predict_probabilities(model, windows[chunk], batch_size)
+        # one predict_proba call per chunk, so only one chunk of windows is
+        # ever copied out of the view
+        for lo in range(0, starts.size, CHUNK_WINDOWS):
+            chunk = starts[lo:lo + CHUNK_WINDOWS]
+            p = model.predict_proba(windows[chunk])
             anchor = chunk + offset
             probs[:, anchor] = p.T
             decisions[:, anchor] = (p.T >= threshold).astype(np.int8)
-    return PredictionTrack(frame.timestamps, tuple(names), probs, decisions, threshold)
+    return PredictionTrack(frame.timestamps, names, probs, decisions, threshold)
 
 
 def _runs(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,12 +24,7 @@ from .config import (
     to_arch,
 )
 from .fcn import FcnClassifier, build_fcn
-from .inception import (
-    InceptionNetwork,
-    build_inception,
-    build_inception_ensemble,
-    ensemble_predict,
-)
+from .inception import InceptionNetwork, build_inception
 from .lstm import LstmClassifier, build_lstm_classifier
 
 __all__ = [
@@ -37,7 +32,6 @@ __all__ = [
     "FcnClassifier", "LstmClassifier", "InceptionNetwork",
     "RecurrentAutoencoder", "EncoderClassifier",
     "build_fcn", "build_lstm_classifier", "build_inception",
-    "build_inception_ensemble", "ensemble_predict",
     "build_autoencoder", "build_encoder_classifier",
     "build_model", "model_from_checkpoint", "param_count", "save_model",
     "KINDS", "config_from_arch", "model_arch",

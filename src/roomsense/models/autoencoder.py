@@ -126,7 +126,7 @@ class EncoderClassifier:
         self.suffix = _DenseHead(self.store, ae_config.latent, head, rng)
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        return self.suffix.forward(self.feature_space(x), train)
+        return self.suffix.forward(_run_encoder(self.encoder, x, False), train)
 
     def backward(self, dlogits: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         # encoder is frozen; gradient stops at the latent code

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ShapeError
 from ..nn import BatchNorm1d, Conv1d, Dense, GlobalAvgPool, MaxPool1dSame, ParamStore, Relu
 from ..nn.layers import chunked, head_probabilities
-from ..rng import Rng, derive_seed
+from ..rng import Rng
 from .config import InceptionConfig
 
 
@@ -123,17 +123,3 @@ class InceptionNetwork:
 
 def build_inception(config: InceptionConfig, seed: int = 0) -> InceptionNetwork:
     return InceptionNetwork(config, seed)
-
-
-def build_inception_ensemble(config: InceptionConfig, members: int,
-                             seed: int = 0) -> list[InceptionNetwork]:
-    """``members`` independently initialized networks (derived seeds)."""
-    if members < 1:
-        raise ConfigError("an ensemble needs at least one member")
-    return [InceptionNetwork(config, derive_seed(seed, i)) for i in range(members)]
-
-
-def ensemble_predict(models: list, x: np.ndarray) -> np.ndarray:
-    """Average the head probabilities of the member networks."""
-    probs = [m.predict_proba(x) for m in models]
-    return np.mean(probs, axis=0)

@@ -43,6 +43,7 @@ from .params import ParamStore
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
+CHUNK_WINDOWS = 512
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -71,12 +72,14 @@ def head_probabilities(logits: np.ndarray, head_mode: str) -> np.ndarray:
     return sigmoid(logits)
 
 
-def chunked(method, x: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """``method`` over ``chunk`` windows at a time, so its memory is one chunk's;
-    DegenerateDataError if any window holds a non-finite cell."""
+def chunked(method, x: np.ndarray) -> np.ndarray:
+    """``method`` over CHUNK_WINDOWS windows at a time, so its memory is one chunk's;
+    DegenerateDataError if any window holds a non-finite cell. Only a model's own
+    ``predict_proba``, ``feature_space`` and ``encode`` call it."""
     if not np.isfinite(x).all():
         raise DegenerateDataError("a window holds a missing or non-finite cell")
-    return np.concatenate([method(x[i:i + chunk]) for i in range(0, len(x), chunk)])
+    return np.concatenate([method(x[i:i + CHUNK_WINDOWS])
+                           for i in range(0, len(x), CHUNK_WINDOWS)])
 
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:

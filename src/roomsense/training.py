@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
-from .evaluation import feature_matrix
 from .frames import csv_text
 from .nn import (
     AdamState,
@@ -138,7 +137,7 @@ def _train_loop(model, train: WindowSet, valid: WindowSet, cfg: TrainConfig,
     # A frozen prefix takes no gradient: encode each window once, train the suffix.
     net = getattr(model, "suffix", model)
     if net is not model:
-        train, valid = (_Encoded(feature_matrix(model, ws.X), ws.Y) for ws in (train, valid))
+        train, valid = (_Encoded(model.feature_space(ws.X), ws.Y) for ws in (train, valid))
     state = AdamState(model.store)
     n = len(train)
     steps_per_epoch = math.ceil(n / cfg.batch_size)

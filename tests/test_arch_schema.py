@@ -17,7 +17,6 @@ from roomsense.models import (
     build_autoencoder,
     build_encoder_classifier,
     build_fcn,
-    build_inception_ensemble,
     build_lstm_classifier,
     build_model,
     config_from_arch,
@@ -62,10 +61,6 @@ def test_arch_round_trip(config):
 
 def test_inception_arch_has_no_ensemble_and_members_are_an_argument():
     assert "ensemble" not in to_arch(InceptionConfig(3), "inception")
-    cfg = InceptionConfig(3, filters=2, bottleneck=2, branch_kernels=(3,), depth=3)
-    assert len(build_inception_ensemble(cfg, 2, seed=1)) == 2
-    with pytest.raises(ConfigError):
-        build_inception_ensemble(cfg, 0)
 
 
 @pytest.mark.parametrize("arch,key", [

@@ -1,9 +1,10 @@
 """Model calls outside training: 512-window chunks, finite input, nothing held.
 
-Each model's own ``predict_proba`` and ``feature_space`` run through the same
-chunking helper as ``predict_probabilities`` and ``feature_matrix``, so the two
-agree byte for byte on either side of a chunk edge. An eval-mode forward keeps
-no backward cache, which tracemalloc sees as memory held after the call.
+Each model's own ``predict_proba`` and ``feature_space`` are the one level that
+checks and chunks windows, so they agree byte for byte with an explicit
+512-window loop on either side of a chunk edge, and ``forward`` is one batch.
+An eval-mode forward keeps no backward cache, which tracemalloc sees as memory
+held after the call.
 """
 
 import tracemalloc
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from roomsense.errors import ConfigError, DegenerateDataError
-from roomsense.evaluation import feature_matrix, predict_probabilities
 from roomsense.models import (
     AutoencoderConfig,
     FcnConfig,
@@ -23,9 +23,7 @@ from roomsense.models import (
     build_encoder_classifier,
     build_fcn,
     build_inception,
-    build_inception_ensemble,
     build_lstm_classifier,
-    ensemble_predict,
 )
 from roomsense.nn import head_probabilities
 from roomsense.rng import Rng
@@ -62,8 +60,12 @@ def test_own_calls_match_the_chunked_helpers_across_chunk_edges(kind, n):
     model = _small(kind)
     x = Rng(n).normal(size=(n, 3, 7))
     probs = model.predict_proba(x)
-    assert probs.tobytes() == predict_probabilities(model, x).tobytes()
-    assert model.feature_space(x).tobytes() == feature_matrix(model, x).tobytes()
+    edges = range(0, n, CHUNK)
+    by_chunk = [head_probabilities(model.forward(x[i:i + CHUNK]), model.config.head_mode)
+                for i in edges]
+    assert probs.tobytes() == np.concatenate(by_chunk).tobytes()
+    features = [model.feature_space(x[i:i + CHUNK]) for i in edges]
+    assert model.feature_space(x).tobytes() == np.concatenate(features).tobytes()
     # every window once, in order: the whole batch in one forward differs
     # from the chunks by GEMM summation order at most
     whole = head_probabilities(model.forward(x), model.config.head_mode)
@@ -71,15 +73,13 @@ def test_own_calls_match_the_chunked_helpers_across_chunk_edges(kind, n):
     np.testing.assert_allclose(probs, whole, rtol=1e-12, atol=1e-15)
 
 
-def test_ensemble_across_a_chunk_edge():
-    members = build_inception_ensemble(
-        InceptionConfig(in_channels=3, filters=2, bottleneck=2, branch_kernels=(2, 5),
-                        depth=3), members=2, seed=4)
-    for m in members:
-        m.forward(Rng(2).normal(size=(4, 3, 7)), train=True)
-    x = Rng(6).normal(size=(CHUNK + 1, 3, 7))
-    want = np.mean([predict_probabilities(m, x) for m in members], axis=0)
-    assert ensemble_predict(members, x).tobytes() == want.tobytes()
+def test_encoder_classifier_forward_runs_its_encoder_once():
+    clf = _small("encoder_classifier")
+    first, calls = clf.encoder[0], []
+    run = first.forward
+    first.forward = lambda x, train=True: calls.append(len(x)) or run(x, train)
+    assert clf.forward(Rng(4).normal(size=(1100, 3, 7))).shape == (1100, clf.config.classes)
+    assert calls == [1100]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -98,16 +98,6 @@ def test_direct_calls_refuse_non_finite_windows(kind, bad):
     for call in calls:
         with pytest.raises(DegenerateDataError, match="non-finite"):
             call(x)
-
-
-def test_ensemble_refuses_non_finite_windows():
-    members = build_inception_ensemble(
-        InceptionConfig(in_channels=3, filters=2, bottleneck=2, branch_kernels=(2,), depth=3),
-        members=2)
-    x = Rng(3).normal(size=(5, 3, 7))
-    x[0, 0, 0] = np.nan
-    with pytest.raises(DegenerateDataError, match="non-finite"):
-        ensemble_predict(members, x)
 
 
 def _traced(call):

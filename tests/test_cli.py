@@ -437,24 +437,38 @@ class TestFailedRunMakesNoOutput:
     """A run that exits 1 leaves no ``--out`` directory, and ``--dry-run`` exits 1
     on the type and required-key errors a real run exits 1 on."""
 
-    @pytest.mark.parametrize("argv", [
-        ["clean", "--set", "in=CHAIN/synth/frame.csv", "--set", "edge_policy=bogus"],
-        ["eval", "--set", "scaler=CHAIN/train/scaler.json", "--set", "windows=CHAIN/split/test"],
-        ["sample", "--set", "in=CHAIN/clean/clean.csv", "--set", "length=0"],
-        ["split", "--set", "in=CHAIN/sample/windows", "--set", "mode=foo"],
-        ["synth", "--set", "scenario=other"],
-        ["smooth", "--set", "track=TRACK", "--set", "width=0"],
-        ["eval", "--set", "checkpoint=CHAIN/train/model", "--set", "threshold=1.5",
-         "--set", "scaler=CHAIN/train/scaler.json", "--set", "windows=CHAIN/split/test"],
-        ["train", "--set", "train_windows=CHAIN/split/train",
-         "--set", "valid_windows=CHAIN/split/valid",
-         "--set", 'model={"kind":"fcn","filters":[8,8],"kernels":[3]}'],
+    @pytest.mark.parametrize("argv, message", [
+        (["clean", "--set", "in=CHAIN/synth/frame.csv", "--set", "edge_policy=bogus"],
+         "edge_policy must be 'trim' or 'extend', got 'bogus'"),
+        (["eval", "--set", "scaler=CHAIN/train/scaler.json", "--set", "windows=CHAIN/split/test"],
+         "missing required config key 'checkpoint'"),
+        (["sample", "--set", "in=CHAIN/clean/clean.csv", "--set", "length=0"],
+         "length and stride must be >= 1"),
+        (["split", "--set", "in=CHAIN/sample/windows", "--set", "mode=foo"],
+         "split mode must be random|time, got 'foo'"),
+        # the key is checked before the input is opened, so a missing input cannot mask it
+        (["split", "--set", "in=CHAIN/missing.csv", "--set", "mode=time"],
+         "missing required config key 'cut_timestamp'"),
+        (["synth", "--set", "scenario=other"],
+         """scenario must be "bundled" or a JSON object, got 'other'"""),
+        (["smooth", "--set", "track=TRACK", "--set", "width=0"],
+         "smoothing width must be >= 1"),
+        (["eval", "--set", "checkpoint=CHAIN/train/model", "--set", "threshold=1.5",
+          "--set", "scaler=CHAIN/train/scaler.json", "--set", "windows=CHAIN/split/test"],
+         "threshold must lie in [0, 1], got 1.5"),
+        (["train", "--set", "train_windows=CHAIN/split/train",
+          "--set", "valid_windows=CHAIN/split/valid",
+          "--set", 'model={"kind":"fcn","filters":[8,8],"kernels":[3]}'],
+         "filters and kernels must have equal length >= 1"),
     ], ids=["clean edge_policy", "eval without checkpoint", "sample length", "split mode",
-            "synth scenario", "smooth width", "eval threshold", "fcn filters and kernels"])
-    def test_config_error_exits_1_without_output(self, chain, track, tmp_path, argv):
+            "split time without cut_timestamp", "synth scenario", "smooth width",
+            "eval threshold", "fcn filters and kernels"])
+    def test_config_error_exits_1_without_output(self, chain, track, tmp_path, capsys,
+                                                 argv, message):
         out = tmp_path / "out"
         argv = [a.replace("CHAIN", str(chain)).replace("TRACK", str(track)) for a in argv]
         assert run([*argv, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_fleet_size_exits_1_naming_the_key(self, tmp_path, capsys):

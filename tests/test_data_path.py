@@ -24,7 +24,6 @@ from roomsense.errors import IntegrityError, ParseError, SchemaError
 from roomsense.evaluation import (
     NO_PREDICTION,
     PredictionTrack,
-    predict_probabilities,
     predict_timeline,
 )
 from roomsense.frames import (
@@ -371,7 +370,7 @@ def reference_build_windows(frame, channels, length, stride=1, position="first",
 
 
 def reference_predict_timeline(model, frame, scaler, length, position="first",
-                               threshold=0.5, max_gap_s=360, batch_size=512):
+                               threshold=0.5, max_gap_s=360):
     sel = frame.select_channels(scaler.channel_names)
     scaled = transform(scaler, sel)
     names = frame.label_names
@@ -386,7 +385,7 @@ def reference_predict_timeline(model, frame, scaler, length, position="first",
         if not starts.size:
             continue
         X = np.stack([scaled.values[:, s:s + length] for s in starts])
-        p = predict_probabilities(model, X, batch_size)
+        p = np.concatenate([model.predict_proba(X[i:i + 512]) for i in range(0, len(X), 512)])
         anchor = starts + offset
         probs[:, anchor] = p.T
         decisions[:, anchor] = (p.T >= threshold).astype(np.int8)
@@ -793,9 +792,8 @@ class BatchRecorder:
 
 
 class TestPredictTimelineOracle:
-    @pytest.mark.parametrize("batch_size", [512, 37])
     @pytest.mark.parametrize("position", ["first", "last"])
-    def test_track_json_identical_on_raw_csv(self, tmp_path, batch_size, position):
+    def test_track_json_identical_on_raw_csv(self, tmp_path, position):
         raw = generate_frame(ScenarioConfig(n_samples=1500, seed=21, missing_runs=30,
                                             missing_leading=3, gap_count=4))
         frame = binarize_person(parse_frame(frame_to_csv(raw)))
@@ -804,11 +802,17 @@ class TestPredictTimelineOracle:
         scaler = fit_scaler("standard", interpolate_missing(frame).select_channels(channels))
         model = build_lstm_classifier(LstmConfig(in_channels=4, hidden=5), seed=3)
         new, old = BatchRecorder(model), BatchRecorder(model)
-        track = predict_timeline(new, frame, scaler, 7, position, batch_size=batch_size)
-        expected = reference_predict_timeline(old, frame, scaler, 7, position,
-                                              batch_size=batch_size)
+        track = predict_timeline(new, frame, scaler, 7, position)
+        expected = reference_predict_timeline(old, frame, scaler, 7, position)
         assert track.to_json() == expected.to_json()
         assert track.to_csv() == expected.to_csv()
         assert len(new.batches) == len(old.batches) > 1
         for a, b in zip(new.batches, old.batches):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        # a full 512 chunk followed by the rest of its segment: the first window
+        # after the chunk edge is the last one before it, shifted by one row
+        sizes = [len(b) for b in new.batches]
+        assert 512 in sizes[:-1]
+        edge = sizes.index(512)
+        before, after = new.batches[edge][-1], new.batches[edge + 1][0]
+        assert np.array_equal(before[:, 1:], after[:, :-1])

@@ -9,11 +9,11 @@ from roomsense.evaluation import (
     _smooth_series,
     evaluate,
     feature_matrix,
-    predict_probabilities,
     predict_timeline,
     smooth,
 )
 from roomsense.frames import SensorFrame
+from roomsense.nn.layers import CHUNK_WINDOWS, chunked
 from roomsense.pipeline import WindowSet, fit_scaler
 from roomsense.rng import Rng
 
@@ -54,6 +54,22 @@ def windows_with_labels(y):
         start_timestamps=np.arange(n, dtype=np.int64),
         label_position="first",
     )
+
+
+class RecordingModel(ConstantModel):
+    """Records how many windows each entry-point call receives."""
+
+    def __init__(self, row):
+        super().__init__(row)
+        self.calls = []
+
+    def predict_proba(self, x):
+        self.calls.append(len(x))
+        return super().predict_proba(x)
+
+    def feature_space(self, x):
+        self.calls.append(len(x))
+        return x.reshape(len(x), -1)
 
 
 class TestEvaluate:
@@ -120,9 +136,12 @@ class TestEvaluate:
     def test_non_finite_window_rejected(self, bad):
         class Untouchable:
             def predict_proba(self, x):
-                raise AssertionError("a non-finite window reached the model")
+                return chunked(self._run, x)  # as every real model checks its windows
 
             feature_space = predict_proba
+
+            def _run(self, xb):
+                raise AssertionError("a non-finite window reached the model")
 
         ws = windows_with_labels(np.ones((6, 1)))
         ws.X[4, 0, 1] = bad
@@ -131,22 +150,33 @@ class TestEvaluate:
         with pytest.raises(DegenerateDataError, match="non-finite"):
             feature_matrix(Untouchable(), ws.X)
 
-    def test_batched_probabilities_match(self):
-        probs = Rng(5).uniform(size=(23, 2))
-        model = FixedModel(probs)
-        out = predict_probabilities(model, np.zeros((23, 1, 3)), batch_size=5)
-        assert np.array_equal(out, probs)
+    def test_one_entry_point_call_for_every_window(self):
+        # the model's own entry point is the only level that chunks
+        ws = windows_with_labels(np.ones((1100, 1)))
+        model = RecordingModel([0.8])
+        evaluate(model, ws)
+        feature_matrix(model, ws.X)
+        assert model.calls == [1100, 1100]
 
 
 class TestPredictTimeline:
     def scaler_for(self, frame):
         return fit_scaler("standard", frame)
 
+    def test_one_predict_proba_call_per_slice_of_starts(self):
+        n = 2 * CHUNK_WINDOWS + 80
+        frame = toy_frame({"a": Rng(11).normal(size=(n,)).tolist()}, {"person": [0] * n})
+        model = RecordingModel([0.8])
+        track = predict_timeline(model, frame, self.scaler_for(frame), length=4)
+        starts = n - 4 + 1
+        assert model.calls == [CHUNK_WINDOWS, CHUNK_WINDOWS, starts - 2 * CHUNK_WINDOWS]
+        assert (track.decisions[0] != NO_PREDICTION).sum() == starts
+
     def test_constant_model_constant_track(self):
         frame = toy_frame({"a": Rng(1).normal(size=(12,)).tolist()},
                           {"person": [0] * 12})
         track = predict_timeline(ConstantModel([0.8]), frame, self.scaler_for(frame),
-                                 length=4, class_names=("person",))
+                                 length=4)
         covered = ~np.isnan(track.probabilities[0])
         assert np.allclose(track.probabilities[0][covered], 0.8)
         assert np.all(track.decisions[0][covered] == 1)
@@ -155,7 +185,7 @@ class TestPredictTimeline:
         frame = toy_frame({"a": Rng(2).normal(size=(10,)).tolist()},
                           {"person": [0] * 10})
         track = predict_timeline(ConstantModel([0.8]), frame, self.scaler_for(frame),
-                                 length=7, position="first", class_names=("person",))
+                                 length=7, position="first")
         covered = np.flatnonzero(track.decisions[0] != NO_PREDICTION)
         assert covered.tolist() == [0, 1, 2, 3]
         assert np.isnan(track.probabilities[0][4:]).all()
@@ -164,7 +194,7 @@ class TestPredictTimeline:
         frame = toy_frame({"a": Rng(3).normal(size=(10,)).tolist()},
                           {"person": [0] * 10})
         track = predict_timeline(ConstantModel([0.8]), frame, self.scaler_for(frame),
-                                 length=7, position="last", class_names=("person",))
+                                 length=7, position="last")
         covered = np.flatnonzero(track.decisions[0] != NO_PREDICTION)
         assert covered.tolist() == [6, 7, 8, 9]
 
@@ -172,8 +202,7 @@ class TestPredictTimeline:
         frame = toy_frame({"a": [1.0, 2.0, 3.0]}, {"person": [0, 0, 0]})
         with pytest.warns(UserWarning, match="shorter"):
             track = predict_timeline(ConstantModel([0.8]), frame,
-                                     self.scaler_for(frame), length=7,
-                                     class_names=("person",))
+                                     self.scaler_for(frame), length=7)
         assert len(track) == 3
         assert np.all(track.decisions == NO_PREDICTION)
         assert np.isnan(track.probabilities).all()
@@ -186,7 +215,7 @@ class TestPredictTimeline:
                             label_names=("person",),
                             label_values=np.zeros((1, 20), dtype=np.int64))
         track = predict_timeline(ConstantModel([0.8]), frame, self.scaler_for(frame),
-                                 length=4, class_names=("person",))
+                                 length=4)
         covered = np.flatnonzero(track.decisions[0] != NO_PREDICTION)
         # windows fit in [0..6] and [10..16] start positions
         assert covered.tolist() == list(range(0, 7)) + list(range(10, 17))
@@ -203,8 +232,7 @@ class TestPredictTimeline:
                 assert np.isfinite(x).all()
                 return super().predict_proba(x)
 
-        track = predict_timeline(FiniteOnlyModel([0.8]), frame, scaler, length=4,
-                                 class_names=("person",))
+        track = predict_timeline(FiniteOnlyModel([0.8]), frame, scaler, length=4)
         covered = np.flatnonzero(track.decisions[0] != NO_PREDICTION)
         # starts 0..12 fit; those whose window [s, s+4) holds row 9 are 6..9
         assert covered.tolist() == [0, 1, 2, 3, 4, 5, 10, 11, 12]
@@ -217,7 +245,7 @@ class TestPredictTimeline:
         probs = Rng(6).uniform(size=(12, 1))
         model = FixedModel(probs)
         track = predict_timeline(model, frame, self.scaler_for(frame), length=4,
-                                 threshold=0.5, class_names=("person",))
+                                 threshold=0.5)
         covered = track.decisions[0] != NO_PREDICTION
         assert np.array_equal(track.decisions[0][covered],
                               (track.probabilities[0][covered] >= 0.5).astype(np.int8))
@@ -225,7 +253,7 @@ class TestPredictTimeline:
     def test_json_round_trip(self):
         frame = toy_frame({"a": Rng(7).normal(size=(9,)).tolist()}, {"person": [0] * 9})
         track = predict_timeline(ConstantModel([0.3]), frame, self.scaler_for(frame),
-                                 length=4, class_names=("person",))
+                                 length=4)
         again = PredictionTrack.from_json(track.to_json())
         assert np.array_equal(again.timestamps, track.timestamps)
         assert np.array_equal(again.decisions, track.decisions)
@@ -236,7 +264,7 @@ class TestPredictTimeline:
     def test_csv_has_row_per_timestamp(self):
         frame = toy_frame({"a": Rng(8).normal(size=(9,)).tolist()}, {"person": [0] * 9})
         track = predict_timeline(ConstantModel([0.3]), frame, self.scaler_for(frame),
-                                 length=4, class_names=("person",))
+                                 length=4)
         lines = track.to_csv().strip().split("\n")
         assert lines[0] == "timestamp,prob_person,decision_person"
         assert len(lines) == 10

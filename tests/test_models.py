@@ -13,10 +13,8 @@ from roomsense.models import (
     build_encoder_classifier,
     build_fcn,
     build_inception,
-    build_inception_ensemble,
     build_lstm_classifier,
     build_model,
-    ensemble_predict,
     model_from_checkpoint,
     param_count,
     save_model,
@@ -111,26 +109,6 @@ class TestInception:
         assert model.forward(Rng(2).normal(size=(2, 3, 12)), train=True).shape == (2, 2)
         with pytest.raises(ConfigError):
             InceptionConfig(in_channels=3, depth=4)
-
-    def test_ensemble_of_one_equals_single(self):
-        cfg = self.toy_config()
-        members = build_inception_ensemble(cfg, 1, seed=5)
-        assert len(members) == 1
-        x = Rng(3).normal(size=(2, 3, 10))
-        members[0].forward(x, train=True)  # initialize batch-norm stats
-        assert np.allclose(ensemble_predict(members, x), members[0].predict_proba(x))
-
-    def test_ensemble_averages_probabilities(self):
-        cfg = self.toy_config()
-        members = build_inception_ensemble(cfg, 3, seed=5)
-        x = Rng(4).normal(size=(2, 3, 10))
-        for m in members:
-            m.forward(x, train=True)
-        avg = ensemble_predict(members, x)
-        manual = np.mean([m.predict_proba(x) for m in members], axis=0)
-        assert np.allclose(avg, manual)
-        # members were initialized differently
-        assert not np.allclose(members[0].predict_proba(x), members[1].predict_proba(x))
 
     def test_residual_passthrough_with_zeroed_module_weights(self):
         # equal in/out channels so the shortcut is the identity
