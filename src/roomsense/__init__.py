@@ -1,6 +1,18 @@
 """Occupancy and open-window detection from multichannel gas-sensor series."""
 
-from .frames import (
+import os as _os
+import sys as _sys
+
+# BLAS gets one thread unless the environment says otherwise. numpy reads
+# these once, when it loads, so they are set only while it is not yet loaded.
+# Model calls outside training run their chunks on threads of their own
+# (``nn.layers.chunked``) only when every one of these reads 1.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in _sys.modules:
+    for _var in _BLAS_THREAD_VARS:
+        _os.environ.setdefault(_var, "1")
+
+from .frames import (  # noqa: E402  (after the BLAS settings)
     CorrelationMatrix,
     FeatureSet,
     MissingReport,

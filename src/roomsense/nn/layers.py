@@ -2,7 +2,11 @@
 
 In the layers the models run, only a train-mode forward caches what backward
 needs, on the instance, so a layer instance is exclusively owned during one
-forward/backward cycle; an eval-mode forward (``train=False``) keeps no array.
+forward/backward cycle; an eval-mode forward (``train=False``) keeps no array
+and reads only parameters, so several threads may run it on one model at once.
+``chunked`` does that: a model call outside training runs its 512-window
+chunks on the caller plus helper threads, and its output does not depend on
+their number.
 Every model passes ``train`` down; the ``train=True`` defaults of Conv1d, Relu,
 Dense, MaxPool1dSame and Lstm serve only a layer run on its own (gradient tests).
 Gradients accumulate into the ParamStore buffers (the optimizer zeroes them).
@@ -33,10 +37,14 @@ into single (4H, C), (4H, H) weight matrices plus ONE combined (4H,) bias.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache
 
 import numpy as np
 
+from .. import _BLAS_THREAD_VARS
 from ..errors import ConfigError, DegenerateDataError, ShapeError
 from ..rng import Rng
 from .params import ParamStore
@@ -44,6 +52,26 @@ from .params import ParamStore
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 CHUNK_WINDOWS = 512
+LSTM_EVAL_GATES = 2 ** 16  # gate values (512 KiB) an eval-mode LSTM step holds at a time
+CHUNK_THREADS_MAX = 4  # caller included; bounds the chunks in flight on large machines
+
+
+def _chunk_helper_count() -> int:
+    """Helper threads for ``chunked``: one per usable core beyond the caller's,
+    none unless BLAS runs each call on one thread (threads times BLAS threads
+    would oversubscribe the cores)."""
+    if any(os.environ.get(var) != "1" for var in _BLAS_THREAD_VARS):
+        return 0
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, CHUNK_THREADS_MAX) - 1
+
+
+CHUNK_HELPERS = _chunk_helper_count()
+_CHUNK_POOL = ThreadPoolExecutor(max_workers=CHUNK_THREADS_MAX - 1,
+                                 thread_name_prefix="roomsense-chunk")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -73,13 +101,55 @@ def head_probabilities(logits: np.ndarray, head_mode: str) -> np.ndarray:
 
 
 def chunked(method, x: np.ndarray) -> np.ndarray:
-    """``method`` over CHUNK_WINDOWS windows at a time, so its memory is one chunk's;
-    DegenerateDataError if any window holds a non-finite cell. Only a model's own
-    ``predict_proba``, ``feature_space`` and ``encode`` call it."""
+    """``method`` over CHUNK_WINDOWS windows at a time, so its memory is one chunk's
+    per thread; DegenerateDataError on zero windows or if any window holds a
+    non-finite cell. Only a model's own ``predict_proba``, ``feature_space`` and
+    ``encode`` call it.
+
+    The caller and up to CHUNK_HELPERS pool threads each take the next chunk
+    until none is left; each chunk is the same ``method(x[i:i + CHUNK_WINDOWS])``
+    call and results join in chunk order, so the output does not depend on the
+    thread count. Before returning or raising, the call cancels the helper tasks
+    that never started and waits for the others, so a busy pool (or one whose
+    threads a fork left behind) only means the caller runs every chunk itself.
+    """
+    if len(x) == 0:
+        raise DegenerateDataError("the input holds zero windows")
     if not np.isfinite(x).all():
         raise DegenerateDataError("a window holds a missing or non-finite cell")
-    return np.concatenate([method(x[i:i + CHUNK_WINDOWS])
-                           for i in range(0, len(x), CHUNK_WINDOWS)])
+    starts = range(0, len(x), CHUNK_WINDOWS)
+    helpers = min(CHUNK_HELPERS, len(starts) - 1)
+    if helpers < 1:
+        return np.concatenate([method(x[i:i + CHUNK_WINDOWS]) for i in starts])
+    results = [None] * len(starts)
+    todo = iter(range(len(starts)))
+    lock = threading.Lock()
+    stop = threading.Event()  # set once a chunk fails or the caller is done
+
+    def run_chunks():
+        while not stop.is_set():
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            try:
+                results[k] = method(x[starts[k]:starts[k] + CHUNK_WINDOWS])
+            except BaseException:
+                stop.set()
+                raise
+
+    tasks = [_CHUNK_POOL.submit(run_chunks) for _ in range(helpers)]
+    try:
+        run_chunks()
+    finally:
+        stop.set()
+        for task in tasks:
+            task.cancel()
+        wait(tasks)
+    for task in tasks:
+        if not task.cancelled():
+            task.result()  # a helper's exception
+    return np.concatenate(results)
 
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:
@@ -386,9 +456,13 @@ class MaxPool1dSame:
 class _LstmDirection:
     """One direction of an LSTM layer: parameters plus BPTT caches.
 
-    The input-to-hidden product of every step is one GEMM before the time
-    loop, and the weight gradients and input gradient are single GEMMs after
-    the backward loop; only the hidden-to-hidden products stay per step.
+    A train-mode forward projects the input of every step in one GEMM before
+    the time loop, into the gate cache backward reads. An eval-mode forward
+    runs as many rows at a time as LSTM_EVAL_GATES gate values hold and
+    projects each step's input into one step's gate buffer, so it needs one
+    step of gates and two of cells for those rows whatever the batch size and
+    window length. The weight gradients and input gradient are single GEMMs
+    after the backward loop; only the hidden-to-hidden products stay per step.
     """
 
     def __init__(self, store: ParamStore, name: str, in_channels: int, hidden: int,
@@ -412,30 +486,47 @@ class _LstmDirection:
 
     def forward(self, xs: np.ndarray, train: bool) -> np.ndarray:
         """xs is (L, N, C) in consumption order; returns hidden states (L, N, H)."""
-        length, n, c = xs.shape
+        length, n, _ = xs.shape
         h = self.hidden
         scale, shift = self._gate_scale, self._gate_shift
-        x2 = xs.reshape(length * n, c)
-        # the (L, N, 4H) projection becomes the gate cache, activated in place
-        gates = (x2 @ (self.w_ih.value * scale[:, None]).T).reshape(length, n, 4 * h)
-        gates += self.b.value * scale
+        w_ih_t = (self.w_ih.value * scale[:, None]).T
+        bias = self.b.value * scale
         w_hh_t = (self.w_hh.value * scale[:, None]).T
-        cells = np.empty((length, n, h))
-        tanh_c = np.empty((length, n, h))
+        # train mode runs every row at once, projects every step's input in one
+        # GEMM and keeps the activated gates and cells of each step for backward;
+        # eval mode runs blocks of rows whose gates fit LSTM_EVAL_GATES and
+        # projects each step's input on its own, through one step of gates and
+        # two of cells
+        rows = max(1, n if train else min(n, LSTM_EVAL_GATES // (4 * h)))
+        if train:
+            x2 = xs.reshape(length * n, -1)
+            gates = (x2 @ w_ih_t).reshape(length, n, 4 * h)
+            gates += bias
+        else:
+            gates = np.empty((1, rows, 4 * h))
+        cells = np.empty((length if train else 2, rows, h))
+        tanh_c = np.empty((length if train else 1, rows, h))
+        recur = np.empty((rows, 4 * h))
         hs = np.empty((length, n, h))
-        recur = np.empty((n, 4 * h))
-        for t in range(length):
-            z = gates[t]
-            if t:
-                z += np.matmul(hs[t - 1], w_hh_t, out=recur)
-            np.tanh(z, out=z)
-            z *= scale
-            z += shift
-            np.multiply(z[:, :h], z[:, 2 * h:3 * h], out=cells[t])
-            if t:
-                cells[t] += z[:, h:2 * h] * cells[t - 1]
-            np.tanh(cells[t], out=tanh_c[t])
-            np.multiply(z[:, 3 * h:], tanh_c[t], out=hs[t])
+        for lo in range(0, n, rows):
+            m = min(rows, n - lo)
+            for t in range(length):
+                z = gates[t % len(gates), :m]
+                if not train:
+                    np.matmul(xs[t, lo:lo + m], w_ih_t, out=z)
+                    z += bias
+                if t:
+                    z += np.matmul(hs[t - 1, lo:lo + m], w_hh_t, out=recur[:m])
+                np.tanh(z, out=z)
+                z *= scale
+                z += shift
+                c = cells[t % len(cells), :m]
+                tc = tanh_c[t % len(tanh_c), :m]
+                np.multiply(z[:, :h], z[:, 2 * h:3 * h], out=c)
+                if t:
+                    c += np.multiply(z[:, h:2 * h], cells[(t - 1) % len(cells), :m], out=tc)
+                np.tanh(c, out=tc)
+                np.multiply(z[:, 3 * h:], tc, out=hs[t, lo:lo + m])
         self._cache = (x2, gates, cells, tanh_c, hs) if train else None
         return hs
 

@@ -325,6 +325,16 @@ class TestValidation:
         assert not (tmp_path / "o" / "metrics.json").exists()
         assert not (tmp_path / "o" / "pca.json").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "pca"])
+    def test_zero_window_set_exit_2(self, chain, tmp_path, capsys, command):
+        WindowSet.load(chain / "split/test").take(np.arange(0)).save(tmp_path / "test")
+        code = run([command, "--set", f"checkpoint={chain}/train/model",
+                    "--set", f"scaler={chain}/train/scaler.json",
+                    "--set", f"windows={tmp_path}/test", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "zero windows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_damaged_checkpoint_exit_2(self, chain, tmp_path):
         for rel in ("model.json", "model.bin"):
             (tmp_path / rel).write_bytes((chain / "train" / rel).read_bytes())

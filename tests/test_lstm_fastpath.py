@@ -1,11 +1,16 @@
-"""The hoisted-GEMM LSTM direction against a per-step reference.
+"""The LSTM direction against a per-step reference, and its eval mode.
 
 The reference below is the straightforward per-step BPTT formulation with the
-boolean-mask logistic: one input projection per step and per-step weight
-gradient accumulation. Both are built from the same seed, so their parameters
-are identical; outputs, all parameter gradients and the input gradient must
-agree to 1e-12 relative error.
+boolean-mask logistic and per-step weight gradient accumulation. Both are
+built from the same seed, so their parameters are identical; outputs, all
+parameter gradients and the input gradient must agree to 1e-12 relative error.
+An eval-mode forward does the same arithmetic on each row as train mode, one
+block of rows at a time, so at the shapes below its output is the same bytes;
+it keeps one step of gates for a block of rows instead of every step's for
+every row.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,3 +156,33 @@ def test_tanh_form_sigmoid_matches_mask_form():
     x = np.concatenate([Rng(0).normal(size=4000) * 8.0, [0.0, 800.0, -800.0, 36.7, -745.0]])
     assert np.abs(layers.sigmoid(x) - _mask_sigmoid(x)).max() <= 2.3e-16
     assert np.isnan(layers.sigmoid(np.array([np.nan]))).all()
+
+
+# 300 rows at H=128 end on a part block of the eval forward
+@pytest.mark.parametrize("n, channels, hidden", [(5, 3, 4), (300, 17, 128), (512, 17, 128)])
+@pytest.mark.parametrize("bidirectional, return_sequence", [(False, False), (True, True)])
+def test_eval_forward_is_byte_identical_to_train(n, channels, hidden, bidirectional,
+                                                 return_sequence):
+    lstm = Lstm(ParamStore(), "l", channels, hidden, Rng(1), bidirectional=bidirectional,
+                return_sequence=return_sequence)
+    x = Rng(2).normal(size=(n, channels, 7))
+    assert lstm.forward(x, train=False).tobytes() == lstm.forward(x, train=True).tobytes()
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_forward_peak_is_below_half_the_train_peak():
+    lstm = Lstm(ParamStore(), "l", 17, 128, Rng(1))
+    x = Rng(2).normal(size=(512, 17, 7))
+    train = _peak_bytes(lambda: lstm.forward(x, train=True))
+    lstm.fw._cache = None  # the train cache is not the eval forward's memory
+    assert _peak_bytes(lambda: lstm.forward(x, train=False)) < train / 2
