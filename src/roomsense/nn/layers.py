@@ -52,14 +52,16 @@ from .params import ParamStore
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 CHUNK_WINDOWS = 512
-LSTM_EVAL_GATES = 2 ** 16  # gate values (512 KiB) an eval-mode LSTM step holds at a time
+LSTM_EVAL_GATES = 2 ** 17  # gate values (1 MiB) of every step an eval-mode LSTM block holds
+LSTM_EVAL_ROWS_MIN = 32  # fewer rows would take OpenBLAS's small-matrix GEMM, whose bits differ
 CHUNK_THREADS_MAX = 4  # caller included; bounds the chunks in flight on large machines
 
 
 def _chunk_helper_count() -> int:
     """Helper threads for ``chunked``: one per usable core beyond the caller's,
-    none unless BLAS runs each call on one thread (threads times BLAS threads
-    would oversubscribe the cores)."""
+    none unless every BLAS thread variable reads 1 (threads times BLAS threads
+    would oversubscribe the cores). The environment stands for BLAS's state,
+    which is true when the variables were set before numpy loaded."""
     if any(os.environ.get(var) != "1" for var in _BLAS_THREAD_VARS):
         return 0
     if hasattr(os, "sched_getaffinity"):
@@ -118,9 +120,6 @@ def chunked(method, x: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise DegenerateDataError("a window holds a missing or non-finite cell")
     starts = range(0, len(x), CHUNK_WINDOWS)
-    helpers = min(CHUNK_HELPERS, len(starts) - 1)
-    if helpers < 1:
-        return np.concatenate([method(x[i:i + CHUNK_WINDOWS]) for i in starts])
     results = [None] * len(starts)
     todo = iter(range(len(starts)))
     lock = threading.Lock()
@@ -138,7 +137,8 @@ def chunked(method, x: np.ndarray) -> np.ndarray:
                 stop.set()
                 raise
 
-    tasks = [_CHUNK_POOL.submit(run_chunks) for _ in range(helpers)]
+    tasks = [_CHUNK_POOL.submit(run_chunks)
+             for _ in range(min(CHUNK_HELPERS, len(starts) - 1))]
     try:
         run_chunks()
     finally:
@@ -456,13 +456,16 @@ class MaxPool1dSame:
 class _LstmDirection:
     """One direction of an LSTM layer: parameters plus BPTT caches.
 
-    A train-mode forward projects the input of every step in one GEMM before
-    the time loop, into the gate cache backward reads. An eval-mode forward
-    runs as many rows at a time as LSTM_EVAL_GATES gate values hold and
-    projects each step's input into one step's gate buffer, so it needs one
-    step of gates and two of cells for those rows whatever the batch size and
-    window length. The weight gradients and input gradient are single GEMMs
-    after the backward loop; only the hidden-to-hidden products stay per step.
+    A forward projects the input of every step of a block of rows in one GEMM
+    before the time loop. In train mode the block is every row and its gates
+    are the cache backward reads. In eval mode the rows split evenly into
+    blocks whose gates fit LSTM_EVAL_GATES values (at least LSTM_EVAL_ROWS_MIN
+    rows), and only two steps of cells are kept, so an input that fits one
+    block runs the train-mode GEMMs and gives the same bytes. Across blocks the
+    bytes match too unless OpenBLAS picks a GEMM kernel by a row's place in
+    the product, as it does when 4H is not a multiple of 8. The weight
+    gradients and input gradient are single GEMMs after the backward loop;
+    only the hidden-to-hidden products stay per step.
     """
 
     def __init__(self, store: ParamStore, name: str, in_channels: int, hidden: int,
@@ -486,37 +489,34 @@ class _LstmDirection:
 
     def forward(self, xs: np.ndarray, train: bool) -> np.ndarray:
         """xs is (L, N, C) in consumption order; returns hidden states (L, N, H)."""
-        length, n, _ = xs.shape
+        length, n, channels = xs.shape
         h = self.hidden
         scale, shift = self._gate_scale, self._gate_shift
         w_ih_t = (self.w_ih.value * scale[:, None]).T
         bias = self.b.value * scale
         w_hh_t = (self.w_hh.value * scale[:, None]).T
-        # train mode runs every row at once, projects every step's input in one
-        # GEMM and keeps the activated gates and cells of each step for backward;
-        # eval mode runs blocks of rows whose gates fit LSTM_EVAL_GATES and
-        # projects each step's input on its own, through one step of gates and
-        # two of cells
-        rows = max(1, n if train else min(n, LSTM_EVAL_GATES // (4 * h)))
-        if train:
-            x2 = xs.reshape(length * n, -1)
-            gates = (x2 @ w_ih_t).reshape(length, n, 4 * h)
-            gates += bias
-        else:
-            gates = np.empty((1, rows, 4 * h))
+        # train mode runs every row as one block and keeps the activated gates
+        # and cells of each step for backward; eval mode splits the rows evenly
+        # into blocks whose gates fit LSTM_EVAL_GATES and keeps two steps of cells
+        block_rows = max(LSTM_EVAL_ROWS_MIN, LSTM_EVAL_GATES // (length * 4 * h))
+        blocks = 1 if train or n <= block_rows else -(-n // block_rows)
+        rows = -(-n // blocks)
+        gates = np.empty((length * rows, 4 * h))
         cells = np.empty((length if train else 2, rows, h))
         tanh_c = np.empty((length if train else 1, rows, h))
         recur = np.empty((rows, 4 * h))
         hs = np.empty((length, n, h))
-        for lo in range(0, n, rows):
-            m = min(rows, n - lo)
+        for b in range(blocks):
+            lo, hi = n * b // blocks, n * (b + 1) // blocks
+            m = hi - lo
+            # every step's input projected in one GEMM, activated in place below
+            x2 = xs[:, lo:hi].reshape(length * m, channels)
+            zs = np.matmul(x2, w_ih_t, out=gates[:length * m]).reshape(length, m, 4 * h)
+            zs += bias
             for t in range(length):
-                z = gates[t % len(gates), :m]
-                if not train:
-                    np.matmul(xs[t, lo:lo + m], w_ih_t, out=z)
-                    z += bias
+                z = zs[t]
                 if t:
-                    z += np.matmul(hs[t - 1, lo:lo + m], w_hh_t, out=recur[:m])
+                    z += np.matmul(hs[t - 1, lo:hi], w_hh_t, out=recur[:m])
                 np.tanh(z, out=z)
                 z *= scale
                 z += shift
@@ -526,8 +526,8 @@ class _LstmDirection:
                 if t:
                     c += np.multiply(z[:, h:2 * h], cells[(t - 1) % len(cells), :m], out=tc)
                 np.tanh(c, out=tc)
-                np.multiply(z[:, 3 * h:], tc, out=hs[t, lo:lo + m])
-        self._cache = (x2, gates, cells, tanh_c, hs) if train else None
+                np.multiply(z[:, 3 * h:], tc, out=hs[t, lo:hi])
+        self._cache = (x2, zs, cells, tanh_c, hs) if train else None
         return hs
 
     def backward(self, dh_seq: np.ndarray, input_grad: bool = True) -> np.ndarray | None:

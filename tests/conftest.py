@@ -1,18 +1,10 @@
-"""Shared helpers: finite-difference oracles and small data builders.
-
-BLAS gets one thread unless the environment says otherwise, as in the
-benchmark: set before numpy loads, it makes a test's process CPU time count
-its own work, not idle BLAS threads spinning between small GEMMs.
-"""
+"""Shared helpers: finite-difference oracles and small data builders."""
 
 from __future__ import annotations
 
-import os
+import roomsense  # noqa: F401  (first: it sets BLAS threads before numpy loads)
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import numpy as np  # noqa: E402  (after the thread settings)
+import numpy as np
 
 from roomsense.frames import SensorFrame
 

@@ -158,8 +158,10 @@ def test_tanh_form_sigmoid_matches_mask_form():
     assert np.isnan(layers.sigmoid(np.array([np.nan]))).all()
 
 
-# 300 rows at H=128 end on a part block of the eval forward
-@pytest.mark.parametrize("n, channels, hidden", [(5, 3, 4), (300, 17, 128), (512, 17, 128)])
+# 1 and 7 rows at the classifier's default size fit one eval block; 300 and
+# 512 rows at H=128 run in several
+@pytest.mark.parametrize("n, channels, hidden",
+                         [(5, 3, 4), (1, 17, 100), (7, 17, 100), (300, 17, 128), (512, 17, 128)])
 @pytest.mark.parametrize("bidirectional, return_sequence", [(False, False), (True, True)])
 def test_eval_forward_is_byte_identical_to_train(n, channels, hidden, bidirectional,
                                                  return_sequence):
@@ -167,6 +169,17 @@ def test_eval_forward_is_byte_identical_to_train(n, channels, hidden, bidirectio
                 return_sequence=return_sequence)
     x = Rng(2).normal(size=(n, channels, 7))
     assert lstm.forward(x, train=False).tobytes() == lstm.forward(x, train=True).tobytes()
+
+
+def test_eval_blocks_at_an_odd_hidden_size_stay_within_an_ulp_of_train():
+    # with 4H not a multiple of 8, OpenBLAS computes the last four gate columns
+    # of a row by a kernel chosen by the row's place in the GEMM, so eval blocks
+    # can move a hidden state by its last bit; one block is byte-identical
+    lstm = Lstm(ParamStore(), "l", 17, 51, Rng(1), bidirectional=True, return_sequence=True)
+    for n in (1, 7, 300, 512):
+        x = Rng(n).normal(size=(n, 17, 7))
+        gap = np.abs(lstm.forward(x, train=False) - lstm.forward(x, train=True)).max()
+        assert gap <= 2.0 ** -52, (n, gap)
 
 
 def _peak_bytes(call):
