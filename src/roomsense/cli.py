@@ -25,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 from typing import get_args
@@ -45,7 +46,7 @@ from .frames import (
     SensorFrame,
     binarize_person,
     csv_text,
-    frame_to_csv,
+    frame_csv_blocks,
     interpolate_missing,
     missing_report,
     parse_frame,
@@ -193,11 +194,13 @@ def _document(cfg: dict, key: str, cls):
     return read_document(cfg[key], f"config key {key!r} file", cls.from_json)
 
 
-def _write(outdir: Path, name: str, data: str | bytes) -> None:
-    """Write ``data`` to ``outdir / name``, making its directory first."""
+def _write(outdir: Path, name: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, or each of its blocks in turn, to ``outdir / name`` as
+    UTF-8, making its directory first."""
     path = outdir / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _write_track(outdir: Path, track: PredictionTrack) -> None:
@@ -239,11 +242,11 @@ def cmd_synth(cfg: dict, outdir: Path) -> None:
     _write(outdir, "scenario.json", sc.to_json())
     if devices > 0:
         for frame in generate_fleet(sc, devices, jitter=cfg["fleet_jitter"]):
-            _write(outdir, f"fleet/{frame.device_id}.csv", frame_to_csv(frame))
+            _write(outdir, f"fleet/{frame.device_id}.csv", frame_csv_blocks(frame))
         print(f"wrote {devices} unlabelled fleet frames to {outdir / 'fleet'}")
     else:
         frame = generate_frame(sc)
-        _write(outdir, "frame.csv", frame_to_csv(frame))
+        _write(outdir, "frame.csv", frame_csv_blocks(frame))
         print(f"wrote {len(frame)} labelled rows to {outdir / 'frame.csv'}")
 
 
@@ -253,7 +256,7 @@ def cmd_clean(cfg: dict, outdir: Path) -> None:
     frame = interpolate_missing(frame, cfg["edge_policy"])
     if cfg["binarize"] and "person" in frame.label_names:
         frame = binarize_person(frame)
-    _write(outdir, "clean.csv", frame_to_csv(frame))
+    _write(outdir, "clean.csv", frame_csv_blocks(frame))
     summary = {"rows": len(frame), "edge_policy": cfg["edge_policy"],
                "missing_filled": {n: c for n, c in zip(before.channel_names, before.counts) if c}}
     _write(outdir, "summary.json", dump(summary))
@@ -312,8 +315,8 @@ def cmd_split(cfg: dict, outdir: Path) -> None:
             raise ConfigError("missing required config key 'cut_timestamp'")
         frame = _load_frame(cfg["in"])
         train, test = split_time(frame, cut)
-        _write(outdir, "train.csv", frame_to_csv(train))
-        _write(outdir, "test.csv", frame_to_csv(test))
+        _write(outdir, "train.csv", frame_csv_blocks(train))
+        _write(outdir, "test.csv", frame_csv_blocks(test))
         print(f"time split at {cut}: {len(train)} train rows, {len(test)} test rows")
     else:
         raise ConfigError(f"split mode must be random|time, got {cfg['mode']!r}")

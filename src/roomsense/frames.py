@@ -40,8 +40,11 @@ STANDARD_CHANNELS: tuple[str, ...] = (
 STANDARD_LABELS: tuple[str, ...] = ("person", "window_open")
 
 NOMINAL_PERIOD_S = 120
-# CSV writers format this many rows per block, so peak memory stays flat
+# CSV writers format this many rows per block, and the frame reader decodes and
+# reads about this many bytes per block, cut after a line end, so peak memory
+# stays flat whatever the number of rows
 CSV_BLOCK_ROWS = 1024
+CSV_BLOCK_BYTES = 1 << 20
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -278,8 +281,9 @@ def _first_fault(text: str, header: list[str], channel_cols: list[str],
                  label_cols: list[str]) -> ParseError:
     """The error for the first row or cell of ``text`` that the reader refuses.
 
-    Only for a CSV that numpy's reader refused: rows are read one at a time,
-    and in each row the timestamp, then the channels, then the labels.
+    Only for a CSV that numpy's reader refused in some block: the whole text
+    is read again one row at a time, and in each row the timestamp, then the
+    channels, then the labels, so rows are numbered across the file.
     """
     col_of = {name: i for i, name in enumerate(header)}
     checks = [(0, "timestamp"), *((col_of[n], "channel") for n in channel_cols),
@@ -304,26 +308,41 @@ def _first_fault(text: str, header: list[str], channel_cols: list[str],
     return ParseError("the CSV body could not be read, but no row was found at fault")
 
 
-def _read_table(body: str, dtype: np.dtype) -> np.ndarray | None:
-    """One structured row per data line of ``body``, or None if numpy's reader refuses it.
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, one at a time, so a reader holds one line's copy."""
+    start = 0
+    while (end := text.find("\n", start)) >= 0:
+        yield text[start:end]
+        start = end + 1
+    yield text[start:]
+
+
+def _read_table(block: memoryview, dtype: np.dtype) -> np.ndarray | None:
+    """One structured row per data line of ``block``, bytes of the CSV body
+    from a line end to a line end, or None if it holds bytes that are not
+    UTF-8 or numpy's reader refuses it.
 
     Blank cells become ``nan`` and all-blank rows empty lines first. Integer
-    timestamps are read in C; if that fails the body is read again with
+    timestamps are read in C; if that fails the block is read again with
     ``_parse_timestamp`` converting the timestamp column, for ISO-8601.
     """
-    body = _BLANK_CELL.sub(",nan", _BLANK_ROW.sub("\n", "\n" + body))
+    # a UTF-8 sequence never holds a line end, so a block decodes as in the whole text
+    body = str(block, "utf-8", "surrogateescape")
+    if not body.isascii() and _UNDECODED.search(body):
+        return None
+    body = _BLANK_ROW.sub("\n", body)
+    body = _BLANK_CELL.sub(",nan", body)
     if not body.strip():
         return np.empty(0, dtype)
     if '"' in body and _OPEN_QUOTE.search(body):
         return None
-    lines = body.split("\n")
     for converters in (None, {0: _parse_timestamp}):
         try:
             with warnings.catch_warnings():
                 # numpy < 2.0 reads an integer cell such as 1.0 or 1e30 through
                 # a float, with only a DeprecationWarning
                 warnings.simplefilter("error", DeprecationWarning)
-                return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                return np.loadtxt(_lines(body), dtype=dtype, delimiter=",", quotechar='"',
                                   comments=None, converters=converters, ndmin=1,
                                   encoding="utf-8")
         except (ValueError, OverflowError, DeprecationWarning):
@@ -331,24 +350,57 @@ def _read_table(body: str, dtype: np.dtype) -> np.ndarray | None:
     return None
 
 
+def _header_record(data: bytes) -> tuple[list[str], int]:
+    """The first record of ``data`` as ``csv.reader`` reads it, and the byte
+    offset of the line after it.
+
+    The reader takes whole lines, so a header cell quoted around a line break
+    still reads as one cell.
+    """
+    taken = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal taken
+        while taken < len(data):
+            end = data.find(b"\n", taken) + 1 or len(data)
+            line = data[taken:end].decode("utf-8", "surrogateescape")
+            taken = end
+            yield line
+
+    try:
+        return next(csv.reader(lines())), taken
+    except StopIteration:
+        raise SchemaError("empty CSV: no header row") from None
+    except csv.Error as exc:
+        raise SchemaError(f"header: {exc}") from None
+
+
+def _body_blocks(data: bytes, start: int) -> Iterator[memoryview]:
+    """Views of ``data[start:]`` in blocks of about ``CSV_BLOCK_BYTES``, each
+    cut after a line end and led by the line end before it.
+
+    ``start`` must follow a line end, as the body does.
+    """
+    view = memoryview(data)
+    while start < len(data):
+        end = data.find(b"\n", start + CSV_BLOCK_BYTES - 1) + 1 or len(data)
+        yield view[start - 1:end]
+        start = end
+
+
 def parse_frame(csv_bytes: bytes) -> SensorFrame:
     """Parse a CSV byte stream into a SensorFrame.
 
     Blank cells (empty or whitespace, bare or quoted) become NaN and all-blank
     rows are skipped; rows are sorted by timestamp; duplicate timestamps raise
-    IntegrityError. The body is read by numpy's C text reader. A short or long
-    row, or a cell it refuses, raises ParseError naming the row (1-based,
-    counting skipped rows) and the column.
+    IntegrityError. After the header record, the body is decoded and read by
+    numpy's C text reader in line-aligned blocks of about ``CSV_BLOCK_BYTES``
+    that fill the frame's arrays, so beside its input the reader holds the
+    frame and one block. A short or long row, or a cell it refuses, raises
+    ParseError naming the row (1-based, counting skipped rows) and the column;
+    only then is the whole text decoded, to number rows across the file.
     """
-    text = csv_bytes.decode("utf-8", "surrogateescape")
-    undecodable = not text.isascii() and _UNDECODED.search(text)
-    buf = io.StringIO(text)
-    try:
-        header = next(csv.reader(buf))
-    except StopIteration:
-        raise SchemaError("empty CSV: no header row") from None
-    except csv.Error as exc:
-        raise SchemaError(f"header: {exc}") from None
+    header, start = _header_record(csv_bytes)
     header = [h.strip() for h in header]
     if not header or header[0] != "timestamp":
         raise SchemaError(f"first column must be 'timestamp', got {header[:1]}")
@@ -361,29 +413,35 @@ def parse_frame(csv_bytes: bytes) -> SensorFrame:
 
     kinds = [np.int64] + [np.int64 if h in label_cols else np.float64 for h in header[1:]]
     dtype = np.dtype([(f"f{j}", kind) for j, kind in enumerate(kinds)])
-    table = None if undecodable else _read_table(text[buf.tell():], dtype)
-    if table is None:
-        raise _first_fault(text, header, channel_cols, label_cols)
-    ts = table["f0"]
-    order = np.argsort(ts, kind="stable")
-
-    def columns(names: list[str], kind: type) -> np.ndarray:
-        out = np.empty((len(names), len(ts)), dtype=kind)
-        for i, name in enumerate(names):
-            out[i] = table[f"f{header.index(name)}"][order]
-        return out
-
-    labels = columns(label_cols, np.int64)
-    if labels.size and labels.min() < 0:
-        raise _first_fault(text, header, channel_cols, label_cols)
-    ts = ts[order]
-    dupes = ts[1:][ts[1:] == ts[:-1]]
-    if dupes.size:
-        raise IntegrityError(f"duplicate timestamps (e.g. {int(dupes[0])})")
+    # every data row is one line, so the body's line count bounds the rows
+    lines = csv_bytes.count(b"\n", start) + (not csv_bytes.endswith(b"\n"))
+    ts = np.empty(lines, np.int64)
+    values = np.empty((len(channel_cols), lines))
+    labels = np.empty((len(label_cols), lines), np.int64)
+    fields = {name: f"f{j}" for j, name in enumerate(header)}
+    n = 0
+    for block in _body_blocks(csv_bytes, start):
+        table = _read_table(block, dtype)
+        if table is None or any(table[fields[name]].min(initial=0) < 0 for name in label_cols):
+            raise _first_fault(csv_bytes.decode("utf-8", "surrogateescape"), header,
+                               channel_cols, label_cols)
+        end = n + len(table)
+        ts[n:end] = table["f0"]
+        for out, names in ((values, channel_cols), (labels, label_cols)):
+            for row, name in zip(out, names):
+                row[n:end] = table[fields[name]]
+        n = end
+    ts, values, labels = ts[:n], values[:, :n], labels[:, :n]
+    if n > 1 and not (ts[1:] > ts[:-1]).all():
+        order = np.argsort(ts, kind="stable")
+        ts, values, labels = ts[order], values[:, order], labels[:, order]
+        dupes = ts[1:][ts[1:] == ts[:-1]]
+        if dupes.size:
+            raise IntegrityError(f"duplicate timestamps (e.g. {int(dupes[0])})")
     return SensorFrame(
         timestamps=ts,
         channel_names=tuple(channel_cols),
-        values=columns(channel_cols, np.float64),
+        values=values,
         label_names=tuple(label_cols),
         label_values=labels,
     )
@@ -428,18 +486,30 @@ def csv_blocks(columns: list[np.ndarray]) -> Iterator[tuple[int, list[list[str]]
         yield lo, cells, "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
+def csv_text_blocks(header: list[str], columns) -> Iterator[str]:
+    """The text of every CSV, one block at a time: ``header`` as ``csv.writer``
+    writes it, then the rows of the equal-length ``columns`` (sequences or 1-D
+    arrays), formatted by ``format_cells``, ``CSV_BLOCK_ROWS`` rows a block."""
+    yield csv_line(header)
+    for _, _, rows in csv_blocks([np.asarray(c) for c in columns]):
+        yield rows
+
+
 def csv_text(header: list[str], columns) -> str:
-    """The text of every report CSV: ``header`` as ``csv.writer`` writes it,
-    then one row per entry of the equal-length ``columns`` (sequences or 1-D
-    arrays), formatted by ``format_cells``."""
-    columns = [np.asarray(c) for c in columns]
-    return "".join([csv_line(header), *(rows for _, _, rows in csv_blocks(columns))])
+    """The blocks of ``csv_text_blocks`` joined."""
+    return "".join(csv_text_blocks(header, columns))
+
+
+def frame_csv_blocks(frame: SensorFrame) -> Iterator[str]:
+    """The text of ``frame_to_csv``, one block at a time, for a writer that
+    need not hold the whole text."""
+    return csv_text_blocks(["timestamp", *frame.channel_names, *frame.label_names],
+                           [frame.timestamps, *frame.values, *frame.label_values])
 
 
 def frame_to_csv(frame: SensorFrame) -> bytes:
     """Serialize a frame back to the CSV contract (round-trips exactly)."""
-    return csv_text(["timestamp", *frame.channel_names, *frame.label_names],
-                    [frame.timestamps, *frame.values, *frame.label_values]).encode("utf-8")
+    return "".join(frame_csv_blocks(frame)).encode("utf-8")
 
 
 def missing_report(frame: SensorFrame) -> MissingReport:
@@ -469,6 +539,10 @@ def interpolate_missing(frame: SensorFrame, edge_policy: str = "trim") -> Sensor
     repeats the nearest present value. Interior runs are always filled by
     linear interpolation between the nearest present neighbours (index-based,
     which equals time-based interpolation on the nominal uniform grid).
+
+    An infinite cell raises DegenerateDataError naming its channel and
+    timestamp: a fill next to it would be infinite, and one between two
+    infinities of opposite sign NaN.
     """
     if edge_policy not in ("trim", "extend"):
         raise ConfigError(f"edge_policy must be 'trim' or 'extend', got {edge_policy!r}")
@@ -477,6 +551,9 @@ def interpolate_missing(frame: SensorFrame, edge_policy: str = "trim") -> Sensor
     lead = 0
     trail = 0
     for c, name in enumerate(frame.channel_names):
+        if (inf := np.flatnonzero(np.isinf(values[c]))).size:
+            raise DegenerateDataError(f"channel {name!r} has an infinite cell at timestamp "
+                                      f"{int(frame.timestamps[inf[0]])}")
         mask = np.isnan(values[c])
         if mask.all():
             raise DegenerateDataError(f"channel {name!r} has no present values")

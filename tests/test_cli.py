@@ -290,6 +290,17 @@ class TestValidation:
         assert run(["clean", "--set", f"in={frame}", "--out", str(tmp_path / "o")]) == 2
         assert where in capsys.readouterr().err
 
+    def test_clean_refuses_an_infinite_cell_exit_2_without_output(self, tmp_path, capsys):
+        """The reader takes ``inf``; interpolating next to it cannot fill a cell."""
+        frame = tmp_path / "frame.csv"
+        frame.write_bytes(b"timestamp,co2,person\n1700000000,400.0,0\n1700000120,inf,1\n"
+                          b"1700000240,,1\n1700000360,-inf,0\n1700000480,420.0,0\n")
+        out = tmp_path / "o"
+        assert run(["clean", "--set", f"in={frame}", "--out", str(out)]) == 2
+        assert "channel 'co2' has an infinite cell at timestamp 1700000120" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_fingerprint_mismatch_exit_2(self, chain, tmp_path):
         wrong = "0" * 64
         code = run(["eval", "--set", f"checkpoint={chain}/train/model",

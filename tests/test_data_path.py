@@ -20,6 +20,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from roomsense import frames
 from roomsense.errors import IntegrityError, ParseError, SchemaError
 from roomsense.evaluation import (
     NO_PREDICTION,
@@ -745,6 +746,109 @@ class TestParseFrameOracle:
         with pytest.raises(ParseError) as err:
             parse_frame(data)
         assert (err.value.row, err.value.column) == (2, column)
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """A function that sets ``CSV_BLOCK_BYTES`` and returns the list of how
+    many blocks each ``parse_frame`` call since the fixture started read."""
+    counts = []
+    body_blocks = frames._body_blocks
+
+    def counted(data, start):
+        counts.append(0)
+        for block in body_blocks(data, start):
+            counts[-1] += 1
+            yield block
+
+    def set_size(size: int) -> list[int]:
+        monkeypatch.setattr(frames, "CSV_BLOCK_BYTES", size)
+        return counts
+
+    monkeypatch.setattr(frames, "_body_blocks", counted)
+    return set_size
+
+
+def assert_same_outcome(new, old) -> None:
+    if isinstance(old, SensorFrame):
+        assert isinstance(new, SensorFrame), new
+        assert_frames_identical(new, old)
+        assert new.channel_names == old.channel_names
+        assert new.values.view(np.int64).tobytes() == old.values.view(np.int64).tobytes()
+    else:
+        assert new == old
+
+
+class TestParseFrameBlockEdges:
+    """The block reader against the row loop and itself, with blocks cut down
+    to a few dozen bytes so that line ends fall on block edges."""
+
+    @pytest.mark.parametrize("size", [1, 24, 48])
+    def test_random_csvs_match_the_row_loop(self, blocks, size):
+        counts = blocks(size)
+        for seed in range(600):
+            data = random_csv(seed)
+            assert_same_outcome(parse_outcome(parse_frame, data),
+                                parse_outcome(reference_parse_frame, data))
+        # a block holds one or two of the 12 lines a CSV has on average
+        assert len(counts) == 600 and sum(counts) > 600 * 5, sum(counts)
+
+    @staticmethod
+    def every_size(blocks, data: bytes) -> list:
+        outcomes = []
+        for size in range(1, len(data) + 2):
+            blocks(size)
+            outcomes.append(parse_outcome(parse_frame, data))
+        return outcomes
+
+    def test_quoted_header_with_a_line_break(self, blocks):
+        data = b'timestamp,"co\n2",person\n1700000000,400.5,1\n1700000120,,0\n'
+        for frame in self.every_size(blocks, data):
+            assert frame.channel_names == ("co\n2",)
+            assert frame.values.tolist()[0][0] == 400.5 and math.isnan(frame.values[0, 1])
+            assert frame.label_values.tolist() == [[1, 0]]
+
+    def test_non_utf8_byte_only_in_a_later_block(self, blocks):
+        rows = [f"{1_700_000_000 + 120 * i},{400 + i}.5,0" for i in range(12)]
+        rows[9] = rows[9].replace(".5", ".\udcff5")
+        data = "\n".join(["timestamp,co2,person", *rows, ""]).encode("utf-8", "surrogateescape")
+        counts = blocks(40)
+        assert parse_outcome(parse_frame, data) == (ParseError, 10, "co2")
+        assert counts[-1] > 3  # the blocks before it were read
+        for outcome in self.every_size(blocks, data):
+            assert outcome == (ParseError, 10, "co2")
+
+    def test_iso_timestamp_only_in_a_later_block(self, blocks):
+        rows = [f"{1_700_000_000 + 120 * i},{400 + i}.5" for i in range(12)]
+        rows[10] = "2023-11-14T22:33:20Z," + rows[10].split(",")[1]  # 1700001200
+        data = "\n".join(["timestamp,co2", *rows, ""]).encode()
+        want = reference_parse_frame(data)
+        assert want.timestamps[10] == 1_700_001_200
+        for frame in self.every_size(blocks, data):
+            assert_same_outcome(frame, want)
+
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n"])
+    def test_all_blank_rows_at_block_edges(self, blocks, eol):
+        lines = [b"timestamp,co2,person", b"1700000000,400.5,0", b' , ,"" ', b"",
+                 b"1700000120,,1", b",,", b"1700000240,402.5,x", b"1700000360,403.5,0"]
+        data = eol.join(lines) + eol
+        assert parse_outcome(reference_parse_frame, data) == (ParseError, 6, "person")
+        for outcome in self.every_size(blocks, data):
+            assert outcome == (ParseError, 6, "person")
+        good = data.replace(b",x", b",1")
+        want = reference_parse_frame(good)
+        assert len(want) == 4
+        for frame in self.every_size(blocks, good):
+            assert_same_outcome(frame, want)
+
+    def test_crlf_at_block_edges_reads_as_lf(self, blocks):
+        for seed in range(40):
+            data = random_csv(seed).replace(b"\r\n", b"\n")
+            want = parse_outcome(reference_parse_frame, data)
+            crlf = data.replace(b"\n", b"\r\n")
+            for size in range(1, 60):
+                blocks(size)
+                assert_same_outcome(parse_outcome(parse_frame, crlf), want)
 
 
 class TestBuildWindowsOracle:

@@ -246,6 +246,18 @@ class TestInterpolate:
         with pytest.raises(DegenerateDataError):
             interpolate_missing(toy_frame({"a": [math.nan, math.nan]}))
 
+    @pytest.mark.parametrize("policy", ["trim", "extend"])
+    @pytest.mark.parametrize("series,row", [
+        ([400.0, math.inf, math.nan, -math.inf, 420.0], 1),
+        ([400.0, math.nan, -math.inf, 420.0], 2),
+        ([math.inf, 400.0, 410.0], 0)])
+    def test_infinite_cell_is_refused_naming_channel_and_timestamp(self, series, row, policy):
+        """A fill between two infinities would be NaN, and next to one infinite."""
+        frame = toy_frame({"o3": [1.0] * len(series), "co2": series})
+        with pytest.raises(DegenerateDataError, match="channel 'co2'") as err:
+            interpolate_missing(frame, policy)
+        assert f"timestamp {frame.timestamps[row]}" in str(err.value)
+
     def test_labels_trimmed_in_step(self):
         frame = toy_frame({"a": [math.nan, 1, 2]}, {"person": [1, 0, 1]})
         out = interpolate_missing(frame, "trim")
