@@ -235,8 +235,11 @@ def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: in
 
     Windows never cross gap boundaries, and a window holding any missing or
     non-finite cell is not predicted; rows no predicted window maps to carry
-    the explicit no-prediction marker. ``threshold`` must lie in [0, 1].
+    the explicit no-prediction marker. ``length`` must be at least 1 and
+    ``threshold`` must lie in [0, 1].
     """
+    if length < 1:
+        raise ConfigError(f"length must be >= 1, got {length!r}")
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold!r}")
     sel = frame.select_channels(scaler.channel_names)

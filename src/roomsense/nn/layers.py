@@ -6,7 +6,9 @@ forward/backward cycle; an eval-mode forward (``train=False``) keeps no array
 and reads only parameters, so several threads may run it on one model at once.
 ``chunked`` does that: a model call outside training runs its 512-window
 chunks on the caller plus helper threads, and its output does not depend on
-their number.
+their number. An eval-mode LSTM steps through a whole chunk at a time and
+holds one step of gates (2 MiB at H=128 and 512 windows) besides its hidden
+states.
 Every model passes ``train`` down; the ``train=True`` defaults of Conv1d, Relu,
 Dense, MaxPool1dSame and Lstm serve only a layer run on its own (gradient tests).
 Gradients accumulate into the ParamStore buffers (the optimizer zeroes them).
@@ -52,8 +54,6 @@ from .params import ParamStore
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 CHUNK_WINDOWS = 512
-LSTM_EVAL_GATES = 2 ** 17  # gate values (1 MiB) of every step an eval-mode LSTM block holds
-LSTM_EVAL_ROWS_MIN = 32  # fewer rows would take OpenBLAS's small-matrix GEMM, whose bits differ
 CHUNK_THREADS_MAX = 4  # caller included; bounds the chunks in flight on large machines
 
 
@@ -456,16 +456,14 @@ class MaxPool1dSame:
 class _LstmDirection:
     """One direction of an LSTM layer: parameters plus BPTT caches.
 
-    A forward projects the input of every step of a block of rows in one GEMM
-    before the time loop. In train mode the block is every row and its gates
-    are the cache backward reads. In eval mode the rows split evenly into
-    blocks whose gates fit LSTM_EVAL_GATES values (at least LSTM_EVAL_ROWS_MIN
-    rows), and only two steps of cells are kept, so an input that fits one
-    block runs the train-mode GEMMs and gives the same bytes. Across blocks the
-    bytes match too unless OpenBLAS picks a GEMM kernel by a row's place in
-    the product, as it does when 4H is not a multiple of 8. The weight
-    gradients and input gradient are single GEMMs after the backward loop;
-    only the hidden-to-hidden products stay per step.
+    Each step projects its own input into that step's gates, then adds the
+    bias and the hidden-to-hidden product, for every row at once. Train and
+    eval mode run the same per-step GEMMs, so they give the same bytes at
+    every size. Train mode keeps every step's activated gates and cells for
+    backward; eval mode keeps one step of gates and two of cells, whatever
+    the window length. The weight gradients and input gradient are single
+    GEMMs after the backward loop; only the hidden-to-hidden products stay
+    per step.
     """
 
     def __init__(self, store: ParamStore, name: str, in_channels: int, hidden: int,
@@ -495,39 +493,31 @@ class _LstmDirection:
         w_ih_t = (self.w_ih.value * scale[:, None]).T
         bias = self.b.value * scale
         w_hh_t = (self.w_hh.value * scale[:, None]).T
-        # train mode runs every row as one block and keeps the activated gates
-        # and cells of each step for backward; eval mode splits the rows evenly
-        # into blocks whose gates fit LSTM_EVAL_GATES and keeps two steps of cells
-        block_rows = max(LSTM_EVAL_ROWS_MIN, LSTM_EVAL_GATES // (length * 4 * h))
-        blocks = 1 if train or n <= block_rows else -(-n // block_rows)
-        rows = -(-n // blocks)
-        gates = np.empty((length * rows, 4 * h))
-        cells = np.empty((length if train else 2, rows, h))
-        tanh_c = np.empty((length if train else 1, rows, h))
-        recur = np.empty((rows, 4 * h))
+        # train mode keeps every step's activated gates and cells for backward;
+        # eval mode keeps one step of gates and two of cells
+        steps = length if train else 1
+        gates = np.empty((steps, n, 4 * h))
+        cells = np.empty((length if train else 2, n, h))
+        tanh_c = np.empty((steps, n, h))
+        recur = np.empty((n, 4 * h))
         hs = np.empty((length, n, h))
-        for b in range(blocks):
-            lo, hi = n * b // blocks, n * (b + 1) // blocks
-            m = hi - lo
-            # every step's input projected in one GEMM, activated in place below
-            x2 = xs[:, lo:hi].reshape(length * m, channels)
-            zs = np.matmul(x2, w_ih_t, out=gates[:length * m]).reshape(length, m, 4 * h)
-            zs += bias
-            for t in range(length):
-                z = zs[t]
-                if t:
-                    z += np.matmul(hs[t - 1, lo:hi], w_hh_t, out=recur[:m])
-                np.tanh(z, out=z)
-                z *= scale
-                z += shift
-                c = cells[t % len(cells), :m]
-                tc = tanh_c[t % len(tanh_c), :m]
-                np.multiply(z[:, :h], z[:, 2 * h:3 * h], out=c)
-                if t:
-                    c += np.multiply(z[:, h:2 * h], cells[(t - 1) % len(cells), :m], out=tc)
-                np.tanh(c, out=tc)
-                np.multiply(z[:, 3 * h:], tc, out=hs[t, lo:hi])
-        self._cache = (x2, zs, cells, tanh_c, hs) if train else None
+        for t in range(length):
+            z = np.matmul(xs[t], w_ih_t, out=gates[t % steps])
+            z += bias
+            if t:
+                z += np.matmul(hs[t - 1], w_hh_t, out=recur)
+            np.tanh(z, out=z)
+            z *= scale
+            z += shift
+            c = cells[t % len(cells)]
+            tc = tanh_c[t % steps]
+            np.multiply(z[:, :h], z[:, 2 * h:3 * h], out=c)
+            if t:
+                c += np.multiply(z[:, h:2 * h], cells[(t - 1) % len(cells)], out=tc)
+            np.tanh(c, out=tc)
+            np.multiply(z[:, 3 * h:], tc, out=hs[t])
+        self._cache = ((xs.reshape(length * n, channels), gates, cells, tanh_c, hs)
+                       if train else None)
         return hs
 
     def backward(self, dh_seq: np.ndarray, input_grad: bool = True) -> np.ndarray | None:

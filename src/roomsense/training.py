@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, DegenerateDataError, TrainingDivergedError
 from .frames import csv_text
 from .nn import (
     AdamState,
@@ -130,6 +130,9 @@ def _validation_pass(model, ws: WindowSet | _Encoded, loss_fn, batch_size: int,
 
 def _train_loop(model, train: WindowSet, valid: WindowSet, cfg: TrainConfig,
                 reconstruction: bool) -> History:
+    for what, ws in (("training", train), ("validation", valid)):
+        if len(ws) == 0:
+            raise DegenerateDataError(f"the {what} set holds zero windows")
     loss_fn = loss_for(model)
     shuffle_rng = Rng(derive_seed(cfg.seed, 1))
     if hasattr(model, "dropout"):

@@ -346,6 +346,20 @@ class TestValidation:
         assert "zero windows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["train", "tune"])
+    @pytest.mark.parametrize("empty", ["train", "valid"])
+    def test_zero_window_training_set_exit_2(self, chain, tmp_path, capsys, command, empty):
+        WindowSet.load(chain / "split/valid").take(np.arange(0)).save(tmp_path / "empty")
+        sets = {key: f"{chain}/split/{key}" for key in ("train", "valid")}
+        sets[empty] = f"{tmp_path}/empty"
+        code = run([command, "--set", f"train_windows={sets['train']}",
+                    "--set", f"valid_windows={sets['valid']}", "--set", 'model={"kind":"fcn"}',
+                    "--set", 'train={"epochs":1}', "--out", str(tmp_path / "o")])
+        assert code == 2
+        what = "training" if empty == "train" else "validation"
+        assert f"the {what} set holds zero windows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_damaged_checkpoint_exit_2(self, chain, tmp_path):
         for rel in ("model.json", "model.bin"):
             (tmp_path / rel).write_bytes((chain / "train" / rel).read_bytes())
@@ -481,9 +495,13 @@ class TestFailedRunMakesNoOutput:
           "--set", "valid_windows=CHAIN/split/valid",
           "--set", 'model={"kind":"fcn","filters":[8,8],"kernels":[3]}'],
          "filters and kernels must have equal length >= 1"),
+        (["predict", "--set", "checkpoint=CHAIN/train/model",
+          "--set", "scaler=CHAIN/train/scaler.json", "--set", "in=CHAIN/clean/clean.csv",
+          "--set", "length=-1"],
+         "length must be >= 1, got -1"),
     ], ids=["clean edge_policy", "eval without checkpoint", "sample length", "split mode",
             "split time without cut_timestamp", "synth scenario", "smooth width",
-            "eval threshold", "fcn filters and kernels"])
+            "eval threshold", "fcn filters and kernels", "predict length"])
     def test_config_error_exits_1_without_output(self, chain, track, tmp_path, capsys,
                                                  argv, message):
         out = tmp_path / "out"

@@ -4,10 +4,9 @@ The reference below is the straightforward per-step BPTT formulation with the
 boolean-mask logistic and per-step weight gradient accumulation. Both are
 built from the same seed, so their parameters are identical; outputs, all
 parameter gradients and the input gradient must agree to 1e-12 relative error.
-An eval-mode forward does the same arithmetic on each row as train mode, one
-block of rows at a time, so at the shapes below its output is the same bytes;
-it keeps one step of gates for a block of rows instead of every step's for
-every row.
+An eval-mode forward runs the same per-step GEMMs as train mode over all its
+rows, so its output is the same bytes; it keeps one step of gates instead of
+every step's.
 """
 
 import tracemalloc
@@ -158,10 +157,11 @@ def test_tanh_form_sigmoid_matches_mask_form():
     assert np.isnan(layers.sigmoid(np.array([np.nan]))).all()
 
 
-# 1 and 7 rows at the classifier's default size fit one eval block; 300 and
-# 512 rows at H=128 run in several
+# the classifier's default size, the autoencoder's first layer at a whole
+# chunk, and an odd hidden size, where 4H is not a multiple of 8
 @pytest.mark.parametrize("n, channels, hidden",
-                         [(5, 3, 4), (1, 17, 100), (7, 17, 100), (300, 17, 128), (512, 17, 128)])
+                         [(5, 3, 4), (1, 17, 100), (7, 17, 100), (300, 17, 128), (512, 17, 128),
+                          (1, 17, 51), (7, 17, 51), (300, 17, 51), (512, 17, 51)])
 @pytest.mark.parametrize("bidirectional, return_sequence", [(False, False), (True, True)])
 def test_eval_forward_is_byte_identical_to_train(n, channels, hidden, bidirectional,
                                                  return_sequence):
@@ -173,8 +173,8 @@ def test_eval_forward_is_byte_identical_to_train(n, channels, hidden, bidirectio
 
 def test_eval_blocks_at_an_odd_hidden_size_stay_within_an_ulp_of_train():
     # with 4H not a multiple of 8, OpenBLAS computes the last four gate columns
-    # of a row by a kernel chosen by the row's place in the GEMM, so eval blocks
-    # can move a hidden state by its last bit; one block is byte-identical
+    # of a row by a kernel chosen by the row's place in the GEMM; eval and train
+    # run the same per-step GEMMs, so the gap is zero
     lstm = Lstm(ParamStore(), "l", 17, 51, Rng(1), bidirectional=True, return_sequence=True)
     for n in (1, 7, 300, 512):
         x = Rng(n).normal(size=(n, 17, 7))
@@ -199,3 +199,16 @@ def test_eval_forward_peak_is_below_half_the_train_peak():
     train = _peak_bytes(lambda: lstm.forward(x, train=True))
     lstm.fw._cache = None  # the train cache is not the eval forward's memory
     assert _peak_bytes(lambda: lstm.forward(x, train=False)) < train / 2
+
+
+def test_eval_forward_memory_does_not_grow_with_window_length():
+    # beyond its (L, N, H) hidden states and the (L, N, C) input copy, an eval
+    # forward holds one step of gates and two of cells, whatever L (6.20 MiB
+    # at both lengths here); 64 KiB is slack for the allocator
+    lstm = Lstm(ParamStore(), "l", 17, 128, Rng(1))
+    extra = {}
+    for length in (7, 28):
+        x = Rng(2).normal(size=(512, 17, length))
+        own = length * 512 * (128 + 17) * 8
+        extra[length] = _peak_bytes(lambda: lstm.forward(x, train=False)) - own
+    assert extra[28] <= extra[7] + 2 ** 16, extra

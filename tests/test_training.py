@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from roomsense.errors import ConfigError, TrainingDivergedError
+from roomsense.errors import ConfigError, DegenerateDataError, TrainingDivergedError
 from roomsense.models import FcnConfig, build_fcn
 from roomsense.nn import ParamStore
 from roomsense.pipeline import WindowSet, build_windows, fit_scaler, split_fraction, transform
@@ -180,6 +180,17 @@ class TestDivergence:
         with pytest.raises(TrainingDivergedError) as err, np.errstate(invalid="ignore"):
             train_classifier(model, stub_windows(8, 1), stub_windows(4, 0), cfg)
         assert err.value.epoch == 1
+
+
+class TestEmptySets:
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_zero_windows_are_a_data_error_naming_the_set(self, empty):
+        model = ScriptedModel()
+        train = stub_windows(0 if empty == "training" else 8, 1)
+        valid = stub_windows(0 if empty == "validation" else 4, 0)
+        with pytest.raises(DegenerateDataError, match=f"the {empty} set holds zero windows"):
+            train_classifier(model, train, valid, TrainConfig(epochs=2, batch_size=4))
+        assert model.w.value[0] == 0.0  # raised before the first step
 
 
 class TestTrainAutoencoder:
