@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrityError
 from .frames import CSV_BLOCK_ROWS, SensorFrame, csv_blocks, csv_line
-from .nn.layers import CHUNK_WINDOWS
+from .nn.layers import chunked
 from .pipeline import (
     DEFAULT_MAX_GAP_S,
     ScalerParams,
@@ -265,14 +265,10 @@ def predict_timeline(model, frame: SensorFrame, scaler: ScalerParams, length: in
     for seg in split_on_gaps(scaled, max_gap_s):
         starts = np.asarray(slide(seg, length, stride=1), dtype=np.int64)
         starts = starts[bad[starts + length] == bad[starts]]
-        # one predict_proba call per chunk, so only one chunk of windows is
-        # ever copied out of the view
-        for lo in range(0, starts.size, CHUNK_WINDOWS):
-            chunk = starts[lo:lo + CHUNK_WINDOWS]
-            p = model.predict_proba(windows[chunk])
-            anchor = chunk + offset
-            probs[:, anchor] = p.T
-            decisions[:, anchor] = (p.T >= threshold).astype(np.int8)
+        if starts.size:  # chunked copies one chunk of windows out of the view at a time
+            p = chunked(model.predict_proba, windows, starts)
+            probs[:, starts + offset] = p.T
+            decisions[:, starts + offset] = (p.T >= threshold).astype(np.int8)
     return PredictionTrack(frame.timestamps, names, probs, decisions, threshold)
 
 

@@ -4,11 +4,12 @@ In the layers the models run, only a train-mode forward caches what backward
 needs, on the instance, so a layer instance is exclusively owned during one
 forward/backward cycle; an eval-mode forward (``train=False``) keeps no array
 and reads only parameters, so several threads may run it on one model at once.
-``chunked`` does that: a model call outside training runs its 512-window
-chunks on the caller plus helper threads, and its output does not depend on
-their number. An eval-mode LSTM steps through a whole chunk at a time and
-holds one step of gates (2 MiB at H=128 and 512 windows) besides its hidden
-states.
+``chunked`` does that: every model call outside a training step (a model's
+own eval calls, ``predict_timeline`` and the validation pass) runs its
+512-window chunks on the caller plus helper threads, and its output does not
+depend on their number. An eval-mode LSTM steps through a whole chunk at a
+time and holds one step of gates (2 MiB at H=128 and 512 windows) besides its
+hidden states.
 Every model passes ``train`` down; the ``train=True`` defaults of Conv1d, Relu,
 Dense, MaxPool1dSame and Lstm serve only a layer run on its own (gradient tests).
 Gradients accumulate into the ParamStore buffers (the optimizer zeroes them).
@@ -102,24 +103,23 @@ def head_probabilities(logits: np.ndarray, head_mode: str) -> np.ndarray:
     return sigmoid(logits)
 
 
-def chunked(method, x: np.ndarray) -> np.ndarray:
-    """``method`` over CHUNK_WINDOWS windows at a time, so its memory is one chunk's
-    per thread; DegenerateDataError on zero windows or if any window holds a
-    non-finite cell. Only a model's own ``predict_proba``, ``feature_space`` and
-    ``encode`` call it.
+def chunked(method, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """``method`` over CHUNK_WINDOWS windows of ``x`` (or of ``x[rows]``) at a
+    time, gathering one chunk per thread at a time. DegenerateDataError on zero
+    windows or if a chunk holds a non-finite cell, checked before ``method``
+    sees it, so rows that ``rows`` leaves out may hold anything.
 
     The caller and up to CHUNK_HELPERS pool threads each take the next chunk
-    until none is left; each chunk is the same ``method(x[i:i + CHUNK_WINDOWS])``
-    call and results join in chunk order, so the output does not depend on the
-    thread count. Before returning or raising, the call cancels the helper tasks
-    that never started and waits for the others, so a busy pool (or one whose
-    threads a fork left behind) only means the caller runs every chunk itself.
+    until none is left; results join in chunk order, so the output does not
+    depend on the thread count, and a one-chunk call submits no helper task.
+    Before returning or raising, the call cancels the helper tasks that never
+    started and waits for the others, so a busy pool (or one whose threads a
+    fork left behind) only means the caller runs every chunk itself.
     """
-    if len(x) == 0:
+    n = len(x) if rows is None else len(rows)
+    if n == 0:
         raise DegenerateDataError("the input holds zero windows")
-    if not np.isfinite(x).all():
-        raise DegenerateDataError("a window holds a missing or non-finite cell")
-    starts = range(0, len(x), CHUNK_WINDOWS)
+    starts = range(0, n, CHUNK_WINDOWS)
     results = [None] * len(starts)
     todo = iter(range(len(starts)))
     lock = threading.Lock()
@@ -131,8 +131,13 @@ def chunked(method, x: np.ndarray) -> np.ndarray:
                 k = next(todo, None)
             if k is None:
                 return
+            span = slice(starts[k], starts[k] + CHUNK_WINDOWS)
             try:
-                results[k] = method(x[starts[k]:starts[k] + CHUNK_WINDOWS])
+                xb = x[span] if rows is None else x[rows[span]]
+                if not np.isfinite(xb).all():
+                    raise DegenerateDataError("a window holds a missing or non-finite cell")
+                results[k] = method(xb)
+                del xb  # the next chunk is gathered without this one
             except BaseException:
                 stop.set()
                 raise

@@ -299,6 +299,8 @@ def split_time(frame: SensorFrame, cut_timestamp: int) -> tuple[SensorFrame, Sen
     windowing each side independently guarantees no window crosses the cut.
     """
     ts = frame.timestamps
+    if not ts.size:
+        raise SplitError("the frame holds zero rows; nothing to split")
     if cut_timestamp <= ts[0] or cut_timestamp > ts[-1]:
         raise ConfigError(
             f"cut {cut_timestamp} outside the frame's time range ({int(ts[0])}, {int(ts[-1])}]"
@@ -358,6 +360,9 @@ class _ScalerDoc:
 
 def fit_scaler(kind: str, data: SensorFrame | WindowSet) -> ScalerParams:
     """Fit per-channel statistics; call this on the training portion only."""
+    if len(data) == 0:
+        what = "rows" if isinstance(data, SensorFrame) else "windows"
+        raise DegenerateDataError(f"the training set holds zero {what}")
     if isinstance(data, SensorFrame):
         names = data.channel_names
         per_channel = data.values  # (C, N)

@@ -24,6 +24,7 @@ from .nn import (
     mse,
     softmax_cross_entropy,
 )
+from .nn.layers import chunked
 from .pipeline import WindowSet
 from .rng import Rng, derive_seed
 from .schema import dump
@@ -102,30 +103,17 @@ class _Encoded:
     __len__ = WindowSet.__len__
 
 
-def _batches(n: int, batch_size: int, perm: np.ndarray):
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
-
-
-def _validation_pass(model, ws: WindowSet | _Encoded, loss_fn, batch_size: int,
+def _validation_pass(model, ws: WindowSet | _Encoded, loss_fn,
                      reconstruction: bool) -> tuple[float, float | None]:
-    n = len(ws)
-    total_loss = 0.0
-    correct = 0
-    order = np.arange(n)
-    for idx in _batches(n, max(batch_size, 256), order):
-        xb = ws.X[idx]
-        out = model.forward(xb, train=False)
-        target = xb if reconstruction else ws.Y[idx]
-        loss, _ = loss_fn(out, target)
-        total_loss += loss * len(idx)
-        if not reconstruction:
-            probs = head_probabilities(out, _head_mode(model))
-            correct += int(((probs >= 0.5) == (target >= 0.5)).sum())
-    mean_loss = total_loss / n
+    """Loss over the whole set and, for a classifier, the share of label cells
+    whose 0.5-thresholded probability matches; the forward runs in ``chunked``."""
+    out = chunked(lambda xb: model.forward(xb, train=False), ws.X)
+    target = ws.X if reconstruction else ws.Y
+    loss, _ = loss_fn(out, target)
     if reconstruction:
-        return mean_loss, None
-    return mean_loss, correct / (n * ws.Y.shape[1])
+        return loss, None
+    probs = head_probabilities(out, _head_mode(model))
+    return loss, float(((probs >= 0.5) == (target >= 0.5)).mean())
 
 
 def _train_loop(model, train: WindowSet, valid: WindowSet, cfg: TrainConfig,
@@ -155,7 +143,8 @@ def _train_loop(model, train: WindowSet, valid: WindowSet, cfg: TrainConfig,
         perm = shuffle_rng.permutation(n) if cfg.shuffle else np.arange(n)
         epoch_loss = 0.0
         last_lr = cfg.lr_max
-        for idx in _batches(n, cfg.batch_size, perm):
+        for lo in range(0, n, cfg.batch_size):
+            idx = perm[lo:lo + cfg.batch_size]
             xb = train.X[idx]
             target = xb if reconstruction else train.Y[idx]
             out = net.forward(xb, train=True)
@@ -170,8 +159,7 @@ def _train_loop(model, train: WindowSet, valid: WindowSet, cfg: TrainConfig,
             last_lr = lr
             step += 1
             epoch_loss += loss * len(idx)
-        valid_loss, valid_acc = _validation_pass(net, valid, loss_fn,
-                                                 cfg.batch_size, reconstruction)
+        valid_loss, valid_acc = _validation_pass(net, valid, loss_fn, reconstruction)
         if not math.isfinite(valid_loss):
             raise TrainingDivergedError(
                 f"non-finite validation loss at epoch {epoch}", epoch=epoch)

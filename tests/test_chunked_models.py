@@ -1,8 +1,10 @@
 """Model calls outside training: 512-window chunks, finite input, nothing held.
 
-Each model's own ``predict_proba`` and ``feature_space`` are the one level that
-checks and chunks windows, so they agree byte for byte with an explicit
-512-window loop on either side of a chunk edge, and ``forward`` is one batch.
+Each model's own ``predict_proba`` and ``feature_space`` check and chunk
+windows, so they agree byte for byte with an explicit 512-window loop on
+either side of a chunk edge, and ``forward`` is one batch. ``predict_timeline``
+and the validation pass chunk through the same ``chunked``, the first picking
+its windows by row so only one chunk is ever gathered.
 The chunks run on the caller plus helper threads; the tests force three
 helpers, so they cover that path on a one-core machine too. An eval-mode
 forward keeps no backward cache, which tracemalloc sees as memory held after
@@ -20,6 +22,8 @@ import numpy as np
 import pytest
 
 from roomsense.errors import ConfigError, DegenerateDataError
+from roomsense.evaluation import NO_PREDICTION, predict_timeline
+from roomsense.frames import binarize_person, frame_to_csv, interpolate_missing, parse_frame
 from roomsense.models import (
     AutoencoderConfig,
     FcnConfig,
@@ -33,7 +37,10 @@ from roomsense.models import (
     build_lstm_classifier,
 )
 from roomsense.nn import head_probabilities, layers
+from roomsense.pipeline import fit_scaler, split_on_gaps
 from roomsense.rng import Rng
+from roomsense.synth import ScenarioConfig, generate_frame
+from roomsense.training import _Encoded, _validation_pass, loss_for
 
 CHUNK = 512
 MIB = 2 ** 20
@@ -172,6 +179,103 @@ def test_a_failing_chunk_is_raised_and_no_call_outlives_chunked(helpers):
     calls = started[0]
     time.sleep(0.05)
     assert started[0] == calls < 20
+
+
+def _recording_method():
+    """A method that records each chunk's size (from any thread) and returns its rows."""
+    sizes, lock = [], threading.Lock()
+
+    def method(xb):
+        with lock:
+            sizes.append(len(xb))
+        return xb[:, 0, 0].copy()
+    return method, sizes
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1300])
+def test_rows_gather_each_chunk_across_chunk_edges(n, helpers):
+    x = Rng(5).normal(size=(2000, 2, 3))
+    rows = Rng(n).permutation(2000)[:n]
+    method, sizes = _recording_method()
+    got = layers.chunked(method, x, rows)
+    # each chunk run alone on this thread: the serial loop the helpers must match
+    by_chunk = [x[rows[i:i + CHUNK], 0, 0] for i in range(0, n, CHUNK)]
+    assert got.tobytes() == np.concatenate(by_chunk).tobytes()
+    assert sorted(sizes) == sorted(len(c) for c in by_chunk)
+
+
+def test_rows_gather_one_chunk_per_thread_at_a_time(helpers):
+    x = Rng(6).normal(size=(20_000, 17, 7))  # 19 MiB; four chunks are 1.9 MiB
+    rows = np.arange(x.shape[0])[::-1]
+    held, peak = _traced(lambda: layers.chunked(lambda xb: xb[:, 0, 0].copy(), x, rows))
+    assert held < 0.5 and peak < 3, (held, peak)
+
+
+def test_a_non_finite_row_that_rows_leave_out_is_not_checked(helpers):
+    x = Rng(7).normal(size=(1200, 2, 3))
+    x[5, 1, 2], x[700, 0, 0] = np.nan, np.inf
+    rows = np.delete(np.arange(1200), [5, 700])
+    method, _ = _recording_method()
+    assert layers.chunked(method, x, rows).tobytes() == x[rows, 0, 0].tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_selected_row_is_a_data_error(bad, helpers):
+    x = Rng(8).normal(size=(1200, 2, 3))
+    x[700, 0, 0] = bad  # in the second chunk of rows
+
+    def method(xb):
+        assert np.isfinite(xb).all(), "a non-finite window reached the method"
+        return xb[:, 0, 0].copy()
+
+    with pytest.raises(DegenerateDataError, match="non-finite"):
+        layers.chunked(method, x, np.arange(100, 1200))
+    with pytest.raises(DegenerateDataError, match="zero windows"):
+        layers.chunked(method, x, np.arange(0))
+
+
+def test_predict_timeline_track_does_not_depend_on_the_helpers(monkeypatch):
+    raw = generate_frame(ScenarioConfig(n_samples=3000, seed=4, missing_runs=6,
+                                        gap_count=1))
+    frame = binarize_person(parse_frame(frame_to_csv(raw)))
+    segments = split_on_gaps(frame)
+    channels = ("co2", "tvoc", "so2")
+    assert len(segments) > 1 and np.isnan(frame.select_channels(channels).values).any()
+    assert max(len(seg) for seg in segments) > 2 * CHUNK + 7  # more than two chunks
+    scaler = fit_scaler("standard", interpolate_missing(frame).select_channels(channels))
+    model = build_lstm_classifier(LstmConfig(in_channels=3, hidden=5), seed=3)
+    texts = []
+    for count in (0, 3):
+        monkeypatch.setattr(layers, "CHUNK_HELPERS", count)
+        track = predict_timeline(model, frame, scaler, 7)
+        texts.append((track.to_json(), track.to_csv()))
+    assert texts[0] == texts[1]
+    assert (track.decisions[0] == NO_PREDICTION).sum() > 2 * 6  # missing cells, not only edges
+
+
+@pytest.mark.parametrize("kind", ["fcn", "lstm", "encoder_classifier", "autoencoder"])
+def test_validation_pass_matches_a_serial_per_chunk_reference(kind, helpers):
+    model = _small(kind)
+    x = Rng(9).normal(size=(1300, 3, 7))
+    reconstruction = kind == "autoencoder"
+    classes = 1 if reconstruction else model.config.classes
+    labels = Rng(10).uniform(size=(len(x), classes)) < 0.4
+    if getattr(model.config, "head_mode", "") == "single_label":
+        labels = np.eye(classes)[Rng(10).integers(classes, size=len(x))] > 0
+    net = getattr(model, "suffix", model)
+    ws = _Encoded(model.feature_space(x) if net is not model else x, labels.astype(float))
+    loss_fn = loss_for(model)
+    loss, accuracy = _validation_pass(net, ws, loss_fn, reconstruction)
+    # serial reference: one chunk at a time on this thread, a row-weighted mean of chunk losses
+    total, correct = 0.0, 0
+    for i in range(0, len(x), CHUNK):
+        out = net.forward(ws.X[i:i + CHUNK], train=False)
+        target = ws.X[i:i + CHUNK] if reconstruction else ws.Y[i:i + CHUNK]
+        total += loss_fn(out, target)[0] * len(out)
+        probs = head_probabilities(out, getattr(net.config, "head_mode", "multi_label"))
+        correct += int(((probs >= 0.5) == (target >= 0.5)).sum())
+    assert loss == pytest.approx(total / len(x), rel=0, abs=1e-12)
+    assert accuracy == (None if reconstruction else correct / ws.Y.size)
 
 
 @pytest.mark.parametrize("kind", [*CLASSIFIERS, "autoencoder"])

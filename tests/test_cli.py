@@ -346,18 +346,38 @@ class TestValidation:
         assert "zero windows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("scaler", ["standard", "minmax"])
     @pytest.mark.parametrize("command", ["train", "tune"])
     @pytest.mark.parametrize("empty", ["train", "valid"])
-    def test_zero_window_training_set_exit_2(self, chain, tmp_path, capsys, command, empty):
+    def test_zero_window_training_set_exit_2(self, chain, tmp_path, capsys, command, empty,
+                                             scaler):
         WindowSet.load(chain / "split/valid").take(np.arange(0)).save(tmp_path / "empty")
         sets = {key: f"{chain}/split/{key}" for key in ("train", "valid")}
         sets[empty] = f"{tmp_path}/empty"
         code = run([command, "--set", f"train_windows={sets['train']}",
                     "--set", f"valid_windows={sets['valid']}", "--set", 'model={"kind":"fcn"}',
+                    "--set", f"scaler_kind={scaler}",
                     "--set", 'train={"epochs":1}', "--out", str(tmp_path / "o")])
         assert code == 2
         what = "training" if empty == "train" else "validation"
         assert f"the {what} set holds zero windows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("scaler", ["standard", "minmax"])
+    def test_zero_window_pretraining_corpus_exit_2(self, chain, tmp_path, capsys, scaler):
+        WindowSet.load(chain / "sample/windows").take(np.arange(0)).save(tmp_path / "empty")
+        code = run(["pretrain-ae", "--set", f"windows={tmp_path}/empty",
+                    "--set", f"scaler_kind={scaler}", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "the training set holds zero windows" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_time_split_of_a_header_only_csv_exit_2(self, tmp_path, capsys):
+        (tmp_path / "empty.csv").write_text("timestamp,co2\n")
+        code = run(["split", "--set", "mode=time", "--set", "cut_timestamp=5",
+                    "--set", f"in={tmp_path}/empty.csv", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "zero rows" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_damaged_checkpoint_exit_2(self, chain, tmp_path):

@@ -38,6 +38,7 @@ from roomsense.frames import (
     parse_frame,
 )
 from roomsense.models import LstmConfig, build_lstm_classifier
+from roomsense.nn import layers
 from roomsense.pipeline import (
     Segment,
     build_windows,
@@ -897,7 +898,8 @@ class BatchRecorder:
 
 class TestPredictTimelineOracle:
     @pytest.mark.parametrize("position", ["first", "last"])
-    def test_track_json_identical_on_raw_csv(self, tmp_path, position):
+    def test_track_json_identical_on_raw_csv(self, tmp_path, monkeypatch, position):
+        monkeypatch.setattr(layers, "CHUNK_HELPERS", 0)  # batches recorded in chunk order
         raw = generate_frame(ScenarioConfig(n_samples=1500, seed=21, missing_runs=30,
                                             missing_leading=3, gap_count=4))
         frame = binarize_person(parse_frame(frame_to_csv(raw)))

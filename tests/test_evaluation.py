@@ -13,6 +13,7 @@ from roomsense.evaluation import (
     smooth,
 )
 from roomsense.frames import SensorFrame
+from roomsense.nn import layers
 from roomsense.nn.layers import CHUNK_WINDOWS, chunked
 from roomsense.pipeline import WindowSet, fit_scaler
 from roomsense.rng import Rng
@@ -163,7 +164,8 @@ class TestPredictTimeline:
     def scaler_for(self, frame):
         return fit_scaler("standard", frame)
 
-    def test_one_predict_proba_call_per_slice_of_starts(self):
+    def test_one_predict_proba_call_per_slice_of_starts(self, monkeypatch):
+        monkeypatch.setattr(layers, "CHUNK_HELPERS", 0)  # calls in chunk order
         n = 2 * CHUNK_WINDOWS + 80
         frame = toy_frame({"a": Rng(11).normal(size=(n,)).tolist()}, {"person": [0] * n})
         model = RecordingModel([0.8])

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -250,6 +251,11 @@ class TestSplitTime:
         with pytest.raises(ConfigError):
             split_time(frame, int(frame.timestamps[-1]) + 1)
 
+    def test_zero_rows_are_a_split_error(self):
+        frame = toy_frame({"a": [1.0, 2.0]}).slice_rows(0, 0)
+        with pytest.raises(SplitError, match="zero rows"):
+            split_time(frame, 5)
+
     def test_median_cut_halves(self):
         for n in (10, 11):
             frame = toy_frame({"a": list(range(n))})
@@ -288,6 +294,15 @@ class TestScalers:
         for kind in ("standard", "minmax"):
             with pytest.raises(DegenerateDataError):
                 fit_scaler(kind, frame)
+
+    @pytest.mark.parametrize("kind", ["standard", "minmax"])
+    def test_zero_windows_or_rows_are_a_data_error_before_any_statistic(self, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-slice warnings
+            with pytest.raises(DegenerateDataError, match="the training set holds zero windows"):
+                fit_scaler(kind, small_windows(20).take(np.arange(0)))
+            with pytest.raises(DegenerateDataError, match="the training set holds zero rows"):
+                fit_scaler(kind, toy_frame({"a": [1.0, 2.0]}).slice_rows(0, 0))
 
     def test_standard_transform_normalizes_fit_data(self):
         ws = small_windows(50, c=3)

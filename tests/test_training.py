@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -79,7 +80,7 @@ class TestEarlyStopping:
         cfg = TrainConfig(epochs=12, batch_size=64, lr_max=3e-3, seed=3, patience=3)
         model, history = train_classifier(model, train, valid, cfg)
         from roomsense.training import _validation_pass, loss_for
-        final_loss, _ = _validation_pass(model, valid, loss_for(model), 64, False)
+        final_loss, _ = _validation_pass(model, valid, loss_for(model), False)
         assert final_loss == pytest.approx(min(history.valid_loss), abs=1e-12)
 
     def test_best_valid_running_min_non_increasing(self):
@@ -127,9 +128,11 @@ class TestValidationPass:
 
         class CountingModel(ScriptedModel):
             forwards = 0
+            lock = threading.Lock()  # chunks may run on helper threads
 
             def forward(self, x, train=False):
-                self.forwards += 1
+                with self.lock:
+                    self.forwards += 1
                 return super().forward(x, train)
 
             def predict_proba(self, x):
@@ -137,8 +140,8 @@ class TestValidationPass:
 
         model = CountingModel()
         valid = stub_windows(600, 1)
-        loss, acc = _validation_pass(model, valid, loss_for(model), 64, False)
-        assert model.forwards == 3  # batches of max(64, 256) rows
+        loss, acc = _validation_pass(model, valid, loss_for(model), False)
+        assert model.forwards == 2  # chunks of 512 windows
         assert acc == 1.0  # w = 0 gives probability 0.5, which counts as positive
         assert loss == pytest.approx(np.log(2.0))
 
